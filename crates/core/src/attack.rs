@@ -4,7 +4,7 @@ use cps_linalg::Vector;
 use cps_models::Benchmark;
 use cps_smt::{
     BoolVarPool, Budget, CancelToken, CheckResult, Formula, LinExpr, SmtError, SmtSolver,
-    SolverConfig, SolverStats,
+    SolverStats,
 };
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
@@ -21,12 +21,6 @@ pub enum MonitorEncoding {
     /// to the paper's 50-sample VSC horizon.
     #[default]
     Exact,
-    /// The pre-sequential-counter exact encoding: one enumerated window of
-    /// `dead_zone` alternatives per instant, each cloning the per-step
-    /// monitor formulas. Same semantics as [`MonitorEncoding::Exact`] but
-    /// combinatorial — kept as a differential-testing and ablation baseline;
-    /// practical up to horizons of a dozen samples.
-    ExactNaive,
     /// Conjunctive under-approximation of the attacker: monitor checks must
     /// hold at *every* instant from the given start index onwards (the prefix
     /// is left unconstrained so the loop's own startup transient is not
@@ -41,9 +35,6 @@ pub enum MonitorEncoding {
 /// Configuration of the attack-synthesis query (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisConfig {
-    /// SMT search budget per query (mirrors the paper's 12-hour Z3 timeout,
-    /// expressed as a conflict budget instead of wall-clock time).
-    pub solver: SolverConfig,
     /// Residue norm used when reporting the synthesized attack's residues and
     /// when the CEGIS algorithms pick pivots. The *encoding* always bounds
     /// each residue component individually (an ∞-norm detector), which keeps
@@ -87,7 +78,6 @@ pub struct SynthesisConfig {
 impl Default for SynthesisConfig {
     fn default() -> Self {
         Self {
-            solver: SolverConfig::default(),
             residue_norm: ResidueNorm::Linf,
             horizon_override: None,
             convergence_margin: 0.05,
@@ -147,11 +137,11 @@ pub struct AttackSynthesizer<'a> {
     unrolled: UnrolledLoop,
     /// Statistics of the most recent solver call (for perf attribution).
     last_stats: Cell<SolverStats>,
-    /// Long-lived solver for warm-started CEGIS rounds
-    /// ([`SolverConfig::incremental_rounds`]): the round-invariant encoding
-    /// (monitor stealth, attack bounds, performance violation) is asserted
-    /// once on first use, and each round's threshold constraints are wrapped
-    /// in a `push`/`pop` scope. Stays `None` in fresh-per-round mode.
+    /// Long-lived solver for warm-started CEGIS rounds: the round-invariant
+    /// encoding (monitor stealth, attack bounds, performance violation) is
+    /// asserted once on first use, and each round's threshold constraints
+    /// are wrapped in a `push`/`pop` scope. `None` until the first query and
+    /// after [`AttackSynthesizer::reset_warm_solver`].
     warm_solver: RefCell<Option<SmtSolver>>,
     /// Resource budget installed on the query solver before every check.
     /// Because the deadline axis is absolute, one budget can bound a whole
@@ -202,8 +192,8 @@ impl<'a> AttackSynthesizer<'a> {
     /// Drops the warm incremental solver, forcing the next query to rebuild
     /// it from the symbolic unrolling. Used by the CEGIS run boundary after
     /// catching a panic: whatever state the solver was in is discarded and
-    /// provably rebuilt from the CNF. Results are unaffected — warm and
-    /// fresh rounds are bit-identical by construction.
+    /// provably rebuilt from the CNF. Results are unaffected — a warm round
+    /// is bit-identical to a fresh solver's cold check by construction.
     pub fn reset_warm_solver(&self) {
         *self.warm_solver.borrow_mut() = None;
     }
@@ -244,7 +234,7 @@ impl<'a> AttackSynthesizer<'a> {
     /// # Errors
     ///
     /// Returns [`SmtError::Interrupted`] when the installed [`Budget`] (or
-    /// the conflict cap of [`SolverConfig::max_conflicts`]) is spent, the
+    /// the solver's built-in conflict cap) is spent, the
     /// deadline passes, or the [`CancelToken`] fires before the query is
     /// decided; the error carries the interrupt reason and the statistics
     /// gathered so far.
@@ -253,26 +243,18 @@ impl<'a> AttackSynthesizer<'a> {
         threshold: Option<&[Option<f64>]>,
     ) -> Result<Option<SynthesizedAttack>, SmtError> {
         let round_assertions = self.threshold_assertions(threshold);
-        // Warm and fresh paths run the *same* code over the same assertion
-        // order (base encoding first, round thresholds inside a scope), so
-        // their CNF — and therefore the whole search — is bit-identical. The
-        // warm path merely skips re-encoding the base formulas.
-        let outcome = if self.config.solver.incremental_rounds {
+        // Every round asserts in the same order (base encoding first, round
+        // thresholds inside a scope), so a warm round's CNF — and therefore
+        // the whole search — is bit-identical to a fresh solver's. The warm
+        // solver merely skips re-encoding the base formulas.
+        let outcome = {
             let mut warm = self.warm_solver.borrow_mut();
-            if warm.is_none() {
-                *warm = Some(self.base_solver());
-            }
-            let solver = warm.as_mut().expect("warm solver just initialised");
+            let solver = warm.get_or_insert_with(|| self.base_solver());
             // Re-install each round: the budget may have been re-armed (e.g.
             // a run-level timeout) since the warm solver was built.
             solver.set_budget(self.budget.get());
             solver.set_cancel_token(self.cancel.clone());
             Self::check_round(solver, round_assertions, &self.last_stats)
-        } else {
-            let mut solver = self.base_solver();
-            solver.set_budget(self.budget.get());
-            solver.set_cancel_token(self.cancel.clone());
-            Self::check_round(&mut solver, round_assertions, &self.last_stats)
         };
         match outcome? {
             CheckResult::Unsat => Ok(None),
@@ -311,7 +293,7 @@ impl<'a> AttackSynthesizer<'a> {
     /// (mdc), attack magnitude limits and the performance violation (¬pfc).
     fn base_solver(&self) -> SmtSolver {
         let horizon = self.unrolled.horizon();
-        let mut solver = SmtSolver::with_config(self.unrolled.vars_cloned(), self.config.solver);
+        let mut solver = SmtSolver::new(self.unrolled.vars_cloned());
         let mut assertions = Vec::new();
 
         // Monitor stealth (mdc): the plant monitors never raise an alarm.
@@ -324,13 +306,6 @@ impl<'a> AttackSynthesizer<'a> {
                     self.benchmark
                         .monitors
                         .encode_stealth_counter(&symbols, &mut bools, margin),
-                );
-            }
-            MonitorEncoding::ExactNaive => {
-                assertions.push(
-                    self.benchmark
-                        .monitors
-                        .encode_stealth_margin(&symbols, margin),
                 );
             }
             MonitorEncoding::ConjunctiveAfter(start) => {

@@ -30,10 +30,9 @@ use crate::{
 /// loop terminates when Algorithm 1 proves that no stealthy attack remains.
 ///
 /// Like [`PivotSynthesizer`](crate::PivotSynthesizer), the loop runs all its
-/// Algorithm 1 queries on one warm solver when
-/// [`cps_smt::SolverConfig::incremental_rounds`] is on: round thresholds are
-/// pushed and popped over the once-asserted base encoding, with bit-identical
-/// results to fresh-per-round mode.
+/// Algorithm 1 queries on one warm solver: round thresholds are pushed and
+/// popped over the once-asserted base encoding, with bit-identical results to
+/// a fresh solver per round.
 #[derive(Debug)]
 pub struct StepwiseSynthesizer<'a> {
     synthesizer: AttackSynthesizer<'a>,
@@ -136,7 +135,7 @@ impl<'a> StepwiseSynthesizer<'a> {
                 th,
                 rounds,
                 attacks,
-                ConvergenceStatus::Converged,
+                ConvergenceStatus::NoAttack,
                 stats,
                 round_stats,
             );

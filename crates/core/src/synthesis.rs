@@ -62,6 +62,12 @@ pub enum ConvergenceStatus {
     /// The final query returned an `UNSAT` certificate at the full analysis
     /// horizon: no stealthy attack remains.
     Converged,
+    /// The undefended loop admits no stealthy attack: the very first query
+    /// (round 0, no detector) was `UNSAT`, so there was nothing to
+    /// synthesise and the report's thresholds are all unchecked. Not a
+    /// success — the monitors, or the encoding, already exclude every
+    /// attacker.
+    NoAttack,
     /// The round limit stopped the loop before a certificate was obtained.
     RoundLimit,
     /// A counterexample admitted no progress (every residue numerically
@@ -154,14 +160,16 @@ pub struct SynthesisReport {
     pub rounds: usize,
     /// Number of counterexample attacks that were found and eliminated.
     pub attacks_eliminated: usize,
-    /// `true` when the final query proved that no stealthy attack remains —
-    /// i.e. the run ended on a per-round **UNSAT certificate** at the full
-    /// analysis horizon. Equivalent to `status.is_converged()`; kept as a
-    /// field for ergonomic filtering.
+    /// `true` when a threshold round ended on an **UNSAT certificate** at the
+    /// full analysis horizon: a detector was synthesised and no stealthy
+    /// attack remains. `false` for a vacuous run whose undefended loop
+    /// already admits no attack. Equivalent to `status.is_converged()`; kept
+    /// as a field for ergonomic filtering.
     pub converged: bool,
-    /// How the run ended: certificate, round limit, stall, or a typed
-    /// interruption with the round it hit. A non-converged report still
-    /// carries the best-so-far thresholds of every completed round.
+    /// How the run ended: certificate, no attack on the undefended loop,
+    /// round limit, stall, or a typed interruption with the round it hit. A
+    /// non-converged report still carries the best-so-far thresholds of
+    /// every completed round.
     pub status: ConvergenceStatus,
     /// Solver statistics accumulated over every Algorithm 1 query of the run
     /// (including the certifying final UNSAT query), for perf attribution of
@@ -208,14 +216,13 @@ pub type SynthesisOutcome = Result<SynthesisReport, SynthesisError>;
 ///
 /// The loop terminates when Algorithm 1 proves no stealthy attack remains.
 ///
-/// With [`cps_smt::SolverConfig::incremental_rounds`] on (the default) every
-/// round's query runs on **one** long-lived solver held by the underlying
-/// [`AttackSynthesizer`]: the round-invariant encoding is asserted once and
-/// each round's threshold constraints live in a `push`/`pop` scope, so the
-/// per-round encoding cost drops to the threshold atoms alone. The verdicts,
-/// models and synthesised thresholds are bit-identical to fresh-per-round
-/// mode; [`SynthesisReport::solver_stats`]'s `scopes_reused` counts the
-/// warm-served rounds.
+/// Every round's query runs on **one** long-lived solver held by the
+/// underlying [`AttackSynthesizer`]: the round-invariant encoding is asserted
+/// once and each round's threshold constraints live in a `push`/`pop` scope,
+/// so the per-round encoding cost drops to the threshold atoms alone. The
+/// verdicts, models and synthesised thresholds are bit-identical to a fresh
+/// solver per round; [`SynthesisReport::solver_stats`]'s `scopes_reused`
+/// counts the warm-served rounds.
 #[derive(Debug)]
 pub struct PivotSynthesizer<'a> {
     synthesizer: AttackSynthesizer<'a>,
@@ -319,7 +326,7 @@ impl<'a> PivotSynthesizer<'a> {
                 th,
                 rounds,
                 attacks,
-                ConvergenceStatus::Converged,
+                ConvergenceStatus::NoAttack,
                 stats,
                 round_stats,
             );

@@ -180,12 +180,6 @@ impl MonitorSuite {
     ///
     /// With an empty suite this is simply `true`.
     pub fn encode_stealth(&self, symbols: &MeasurementSymbols) -> Formula {
-        self.encode_stealth_margin(symbols, 0.0)
-    }
-
-    /// [`MonitorSuite::encode_stealth`] with a robustness `margin` applied to
-    /// every monitor interval (see [`Monitor::encode_ok_at_margin`]).
-    pub fn encode_stealth_margin(&self, symbols: &MeasurementSymbols, margin: f64) -> Formula {
         if self.monitors.is_empty() {
             return Formula::True;
         }
@@ -194,7 +188,7 @@ impl MonitorSuite {
             return Formula::True;
         }
         let ok: Vec<Formula> = (0..horizon)
-            .map(|k| self.encode_ok_at_margin(k, symbols, margin))
+            .map(|k| self.encode_ok_at(k, symbols))
             .collect();
         let mut windows = Vec::new();
         for start in 0..=(horizon - self.dead_zone) {

@@ -5,7 +5,7 @@
 //! run along three axes — wall-clock time, propositional conflicts and simplex
 //! pivots — and a [`CancelToken`] lets another thread (a job server, a
 //! portfolio racer) abort the run from outside. All checks are *cooperative*:
-//! the SAT core polls at conflict/restart boundaries and the simplex polls at
+//! the SAT core polls at conflict boundaries and the simplex polls at
 //! amortised pivot-batch boundaries, so the overhead stays well under 1 % of
 //! the search itself while the reaction latency stays at the granularity of a
 //! few conflicts or pivots.
@@ -30,9 +30,8 @@ pub enum InterruptReason {
     Deadline,
     /// The run's [`CancelToken`] was cancelled.
     Cancelled,
-    /// The conflict cap — [`Budget::with_conflict_cap`] or
-    /// [`SolverConfig::max_conflicts`](crate::SolverConfig::max_conflicts),
-    /// whichever is smaller — was reached.
+    /// The conflict cap — [`Budget::with_conflict_cap`] or the solver's
+    /// built-in cap of two million, whichever is smaller — was reached.
     ConflictBudget,
     /// The pivot cap ([`Budget::with_pivot_cap`]) was reached.
     PivotBudget,
@@ -114,8 +113,7 @@ impl Budget {
     }
 
     /// Caps the number of propositional + theory conflicts. The effective cap
-    /// is the smaller of this and
-    /// [`SolverConfig::max_conflicts`](crate::SolverConfig::max_conflicts).
+    /// is the smaller of this and the solver's built-in cap of two million.
     pub fn with_conflict_cap(mut self, cap: u64) -> Self {
         self.max_conflicts = Some(cap);
         self

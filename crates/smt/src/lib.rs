@@ -64,11 +64,11 @@
 //!   derived bounds are padded outward and only trusted when they clear an
 //!   atom's bound by a robustness margin.
 //!
-//! [`SolverConfig::incremental_theory`] switches back to the from-scratch
-//! behaviour (a fresh tableau per theory check) and
-//! [`SolverConfig::theory_propagation`] disables bound propagation — two
-//! independently toggleable ablation baselines; the `solver_ablation` bench
-//! reports all corners.
+//! The solver has one configuration. The search runs a partial theory check
+//! before every decision, propagates bounds whenever enough atoms are open,
+//! never restarts and never deletes a learned clause. A built-in cap of two
+//! million conflicts bounds every check, and a [`Budget`] adds wall-clock,
+//! conflict and pivot caps on top.
 //!
 //! # Example
 //!
@@ -118,4 +118,4 @@ pub use expr::{LinExpr, VarId, VarPool};
 pub use fault::{FaultPlan, FaultSpec};
 pub use formula::{BoolVarPool, Formula};
 pub use optimize::{maximize, minimize, OptimizeOutcome};
-pub use solver::{CheckResult, Model, SmtError, SmtSolver, SolverConfig, SolverStats};
+pub use solver::{CheckResult, Model, SmtError, SmtSolver, SolverStats};

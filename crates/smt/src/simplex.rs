@@ -399,7 +399,7 @@ pub struct Simplex {
     /// processing one wave form the next (deeper) wave.
     dirty: Vec<u32>,
     /// Whether bound installs feed the worklist (see
-    /// [`Simplex::set_bound_tracking`]).
+    /// [`Simplex::enable_bound_tracking`]).
     track_implied: bool,
     /// Budget/cancellation governor installed by the DPLL(T) driver. Polled
     /// every [`PIVOT_CHECK_BATCH`] pivots inside the solve loop; `None` (the
@@ -440,15 +440,12 @@ impl Simplex {
         self.governor = Some(governor);
     }
 
-    /// Enables or disables the propagation worklist (disabled by default —
-    /// only callers that actually drain it via [`Simplex::propagate_bounds`]
-    /// should enable it, otherwise every tighter bound install appends a
-    /// worklist entry that nothing drains).
-    pub fn set_bound_tracking(&mut self, enabled: bool) {
-        self.track_implied = enabled;
-        if !enabled {
-            self.dirty.clear();
-        }
+    /// Enables the propagation worklist (disabled by default — only callers
+    /// that actually drain it via [`Simplex::propagate_bounds`] should enable
+    /// it, otherwise every tighter bound install appends a worklist entry
+    /// that nothing drains).
+    pub fn enable_bound_tracking(&mut self) {
+        self.track_implied = true;
     }
 
     /// Checks satisfiability of the conjunction of `constraints` over
@@ -1380,19 +1377,6 @@ impl Simplex {
     /// leaving variable's assignment to `target` (the bound it violated).
     fn pivot_and_update(&mut self, basic: usize, entering: usize, target: Delta) {
         self.pivots += 1;
-        #[cfg(debug_assertions)]
-        if std::env::var("SIMPLEX_TRACE").is_ok() {
-            eprintln!(
-                "PIVOT #{} basic={basic} entering={entering} target={target}",
-                self.pivots
-            );
-            for (r, rw) in self.rows.iter().enumerate() {
-                eprintln!("  row {r} owner {}: {:?}", self.row_owner[r], rw.entries);
-            }
-            for v in 0..self.num_vars {
-                eprintln!("  x{v} = {} cols {:?}", self.assignment[v], self.cols[v]);
-            }
-        }
         // Invariant: the solve loop resolved `basic`'s row (with a defensive
         // divergence fallback) before selecting `entering` from it.
         let row = self.basic_row[basic].expect("leaving variable is basic");

@@ -16,83 +16,10 @@ use crate::{Constraint, Formula, RelOp, VarId, VarPool};
 /// [`SmtSolver::theory_check`]).
 const PIVOT_REBUILD_THRESHOLD: u64 = 50_000;
 
-/// Configuration of the DPLL(T) search loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// Maximum number of propositional + theory conflicts before the solver
-    /// gives up with [`SmtError::Interrupted`]
-    /// ([`InterruptReason::ConflictBudget`]). This mirrors the per-query
-    /// timeout the paper applies to each Z3 call; a per-*run* wall-clock
-    /// deadline is set separately via [`SmtSolver::set_budget`].
-    pub max_conflicts: u64,
-    /// If non-zero, a theory consistency check also runs on the partial
-    /// assignment every `partial_check_interval` decisions (in addition to the
-    /// mandatory check at full assignments). Early checks prune the search at
-    /// the cost of more simplex runs — with the incremental theory backend a
-    /// partial check only processes the literals assigned since the previous
-    /// check, so a small interval is cheap.
-    pub partial_check_interval: u64,
-    /// Selects the theory backend. `true` (default): a persistent simplex is
-    /// kept in lock-step with the SAT trail — theory checks assert only the
-    /// newly assigned literals' bounds and backtracking pops bounds instead
-    /// of rebuilding. `false`: rebuild the tableau from scratch on every
-    /// theory check, the PR-1 discipline (kept as an ablation baseline for
-    /// the `solver_ablation` bench; pair it with PR-1's
-    /// `partial_check_interval` of 32 for a faithful baseline — the default
-    /// interval of 1 assumes cheap incremental checks).
-    pub incremental_theory: bool,
-    /// Enables theory-level bound propagation (`true` by default): after a
-    /// consistent partial theory check, bounds implied by the asserted ones
-    /// are derived by interval-propagating the tableau rows
-    /// ([`Simplex::propagate_bounds`]), and every theory atom decided by a
-    /// derived bound is fixed on the SAT trail with a persistent implication
-    /// clause whose antecedents come from the bound implication graph.
-    /// Conflicts between derived and asserted bounds surface immediately with
-    /// generalised explanations instead of waiting for a pivot-level
-    /// certificate. `false` disables all of it — the PR-2 "check-at-leaves"
-    /// discipline — as an ablation baseline, independently toggleable from
-    /// [`SolverConfig::incremental_theory`].
-    pub theory_propagation: bool,
-    /// Enables Luby-sequence search restarts (`true` by default): the SAT
-    /// core abandons its current subtree every `luby(i) · 256` conflicts,
-    /// carrying phase saving, VSIDS activities and all learned clauses across
-    /// the restart. Cheap insurance against heavy-tailed search: a run that
-    /// committed to a bad prefix early gets to re-decide it with mature
-    /// activities.
-    pub restarts: bool,
-    /// Enables learned-clause database reduction (`true` by default): when
-    /// the deletable learned-clause count exceeds a growing cap, the
-    /// lowest-activity half of the high-glue clauses is deleted at the next
-    /// level-zero opportunity. Problem clauses and persistent theory
-    /// implication clauses are exempt (deleting an implication clause would
-    /// force the theory to re-derive it with fresh simplex work).
-    pub clause_db_reduction: bool,
-    /// Warm-started incremental CEGIS rounds (`true` by default). Consumed by
-    /// the synthesis layer, not by [`SmtSolver::check`] itself: when set, the
-    /// attack synthesizer keeps **one** solver per synthesis run, asserts the
-    /// round-invariant encoding once, and wraps each round's threshold
-    /// constraints in a [`SmtSolver::push`]/[`SmtSolver::pop`] scope. Every
-    /// `check` still derives its search state from the accumulated CNF alone,
-    /// so warm rounds return bit-identical verdicts, models and thresholds to
-    /// fresh-per-round runs — the speedup comes from not re-encoding the
-    /// round-invariant formulas (monitors, attack bounds, performance
-    /// violation) every round.
-    pub incremental_rounds: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        Self {
-            max_conflicts: 2_000_000,
-            partial_check_interval: 1,
-            incremental_theory: true,
-            theory_propagation: true,
-            restarts: true,
-            clause_db_reduction: true,
-            incremental_rounds: true,
-        }
-    }
-}
+/// Conflict cap of every check — the per-query analogue of the paper's Z3
+/// timeout. A [`Budget`] conflict cap installed with
+/// [`SmtSolver::set_budget`] applies on top; the smaller one trips first.
+const MAX_CONFLICTS: u64 = 2_000_000;
 
 /// Statistics gathered during a [`SmtSolver::check`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,14 +35,12 @@ pub struct SolverStats {
     /// Simplex pivots performed across all theory checks.
     pub pivots: u64,
     /// Times the incremental tableau was rebuilt from the original
-    /// constraints (numerical-hygiene refactorisations; not counted in
-    /// from-scratch ablation mode, where every check rebuilds by design).
+    /// constraints (numerical-hygiene refactorisations).
     pub theory_rebuilds: u64,
     /// Wall-clock nanoseconds spent inside the theory solver (bound
     /// synchronisation + simplex).
     pub simplex_nanos: u64,
-    /// Bounds derived by theory propagation
-    /// ([`SolverConfig::theory_propagation`]).
+    /// Bounds derived by theory propagation.
     pub implied_bounds: u64,
     /// Theory atoms fixed on the SAT trail by a derived bound (each comes
     /// with a persistent implication clause).
@@ -126,16 +51,16 @@ pub struct SolverStats {
     pub explanation_literals: u64,
     /// Simplex violation-priority-queue pops (the pivot-selection hot path).
     pub queue_pops: u64,
-    /// Luby restarts performed by the SAT core
-    /// ([`SolverConfig::restarts`]).
+    /// Search restarts. Always 0: the SAT core never restarts (no paper
+    /// query reaches a restart schedule's first bound).
     pub restarts: u64,
-    /// Learned clauses deleted by database reduction
-    /// ([`SolverConfig::clause_db_reduction`]).
+    /// Learned clauses deleted. Always 0: the SAT core keeps every learned
+    /// clause.
     pub clauses_deleted: u64,
     /// `check` calls served by a warm solver (one that had already completed
     /// an earlier `check`, so its round-invariant encoding was reused instead
     /// of rebuilt). Aggregated over a CEGIS run this counts the warm-started
-    /// rounds; it stays zero in fresh-per-round mode.
+    /// rounds.
     pub scopes_reused: u64,
 }
 
@@ -313,9 +238,9 @@ struct SyncedLit {
 }
 
 impl TheoryContext {
-    fn new(num_real_vars: usize, cnf: &CnfBuilder, track_implied: bool) -> Self {
+    fn new(num_real_vars: usize, cnf: &CnfBuilder) -> Self {
         let mut simplex = Simplex::new(num_real_vars);
-        simplex.set_bound_tracking(track_implied);
+        simplex.enable_bound_tracking();
         let atom_slot: Vec<(usize, f64)> = cnf
             .atoms()
             .iter()
@@ -344,15 +269,13 @@ impl TheoryContext {
 /// [`Simplex`] per `check` call owns the tableau, theory checks assert only
 /// the bounds of literals assigned since the previous check, and SAT
 /// backtracking retracts bounds by popping the simplex trail instead of
-/// rebuilding. See [`SolverConfig::incremental_theory`] for the from-scratch
-/// ablation switch.
+/// rebuilding.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 #[derive(Debug)]
 pub struct SmtSolver {
     vars: VarPool,
     cnf: CnfBuilder,
-    config: SolverConfig,
     stats: SolverStats,
     /// Open assertion scopes ([`SmtSolver::push`]), oldest first.
     scopes: Vec<CnfMark>,
@@ -387,15 +310,9 @@ const PROP_MIN_UNASSIGNED_ATOMS: usize = 8;
 impl SmtSolver {
     /// Creates a solver over the variables allocated in `vars`.
     pub fn new(vars: VarPool) -> Self {
-        Self::with_config(vars, SolverConfig::default())
-    }
-
-    /// Creates a solver with an explicit search configuration.
-    pub fn with_config(vars: VarPool, config: SolverConfig) -> Self {
         Self {
             vars,
             cnf: CnfBuilder::new(),
-            config,
             stats: SolverStats::default(),
             scopes: Vec::new(),
             checks_completed: 0,
@@ -487,8 +404,7 @@ impl SmtSolver {
     /// search state: each [`SmtSolver::check`] derives its SAT and theory
     /// engines from the store, so a check after `pop` behaves exactly as if
     /// the popped assertions had never been made. That is what makes warm
-    /// CEGIS rounds ([`SolverConfig::incremental_rounds`]) bit-identical to
-    /// fresh-per-round ones.
+    /// CEGIS rounds bit-identical to a fresh solver's cold check.
     pub fn push(&mut self) {
         self.scopes.push(self.cnf.mark());
     }
@@ -519,7 +435,7 @@ impl SmtSolver {
     /// # Errors
     ///
     /// Returns [`SmtError::Interrupted`] when the installed [`Budget`] (or
-    /// the [`SolverConfig::max_conflicts`] conflict cap) is exhausted or the
+    /// the built-in cap of two million conflicts) is exhausted or the
     /// [`CancelToken`] is cancelled before the query is decided, and
     /// [`SmtError::NonFiniteAssertion`] when a non-finite assertion was
     /// rejected and its scope is still open. Neither error corrupts the
@@ -534,13 +450,13 @@ impl SmtSolver {
     /// Builds the per-check governor from the installed budget, cancel token
     /// and (under fault injection) the armed injector.
     fn make_governor(&self) -> Arc<Governor> {
-        // The config-level conflict cap and the budget's compose: the
-        // smaller one trips first.
-        let mut budget = self.budget;
-        let cap = budget.max_conflicts.map_or(self.config.max_conflicts, |b| {
-            b.min(self.config.max_conflicts)
-        });
-        budget.max_conflicts = Some(cap);
+        // The built-in conflict cap and the budget's compose: the smaller one
+        // trips first.
+        let cap = self
+            .budget
+            .max_conflicts()
+            .map_or(MAX_CONFLICTS, |b| b.min(MAX_CONFLICTS));
+        let budget = self.budget.with_conflict_cap(cap);
         #[allow(unused_mut)]
         let mut governor = Governor::new(budget, self.cancel.clone());
         #[cfg(feature = "fault-injection")]
@@ -576,7 +492,6 @@ impl SmtSolver {
         let governor = self.make_governor();
         self.governor = Some(Arc::clone(&governor));
         let mut sat = SatSolver::new(self.cnf.num_bool_vars());
-        sat.enable_scale_out(self.config.restarts, self.config.clause_db_reduction);
         sat.set_governor(Arc::clone(&governor));
         for clause in self.cnf.clauses() {
             sat.add_clause(clause.clone());
@@ -605,10 +520,12 @@ impl SmtSolver {
         }
 
         let mut theory = self.fresh_theory();
-        let mut decisions_since_check: u64 = 0;
+        // A partial theory check runs before every decision but the first,
+        // and not right after a check that returned to the search loop.
+        let mut decided_since_check = false;
         loop {
             // Cooperative checkpoint once per loop iteration — every conflict
-            // and restart boundary passes through here.
+            // boundary passes through here.
             if let Some(reason) = governor.check_conflicts(sat.conflicts()) {
                 self.record(&sat, &theory);
                 return Err(SmtError::Interrupted {
@@ -622,21 +539,12 @@ impl SmtSolver {
                     self.record(&sat, &theory);
                     return Ok(CheckResult::Unsat);
                 }
-                // Restarts only drop SAT search state; the theory context
-                // re-synchronises from the truncated trail on its next check.
-                if sat.should_restart() {
-                    sat.restart();
-                } else {
-                    sat.maybe_reduce_db();
-                }
                 continue;
             }
             match sat.pick_branch_literal() {
                 Some(lit) => {
-                    let do_partial = self.config.partial_check_interval > 0
-                        && decisions_since_check >= self.config.partial_check_interval;
-                    if do_partial {
-                        decisions_since_check = 0;
+                    if decided_since_check {
+                        decided_since_check = false;
                         let trail_before = sat.trail().len();
                         match self.theory_check(&mut theory, &mut sat, false) {
                             TheoryOutcome::Interrupted => {
@@ -661,16 +569,11 @@ impl SmtSolver {
                                     self.record(&sat, &theory);
                                     return Ok(CheckResult::Unsat);
                                 }
-                                if sat.should_restart() {
-                                    sat.restart();
-                                } else {
-                                    sat.maybe_reduce_db();
-                                }
                                 continue;
                             }
                         }
                     }
-                    decisions_since_check += 1;
+                    decided_since_check = true;
                     self.stats.decisions += 1;
                     sat.decide(lit);
                 }
@@ -692,11 +595,6 @@ impl SmtSolver {
                                 self.record(&sat, &theory);
                                 return Ok(CheckResult::Unsat);
                             }
-                            if sat.should_restart() {
-                                sat.restart();
-                            } else {
-                                sat.maybe_reduce_db();
-                            }
                         }
                     }
                 }
@@ -707,26 +605,25 @@ impl SmtSolver {
     fn record(&mut self, sat: &SatSolver, theory: &TheoryContext) {
         self.stats.decisions = sat.decisions();
         self.stats.conflicts = sat.conflicts();
-        self.stats.restarts = sat.restarts();
-        self.stats.clauses_deleted = sat.clauses_deleted();
         // Rebuilds fold the retired tableau's counters into the running
         // totals; add the live tableau's counts on top.
         self.stats.pivots += theory.simplex.pivots();
         self.stats.queue_pops += theory.simplex.queue_pops();
     }
 
-    /// Folds a retired tableau's lifetime counters into the stats before the
-    /// context is replaced (rebuilds and ablation-mode refreshes).
-    fn fold_theory_counters(&mut self, theory: &TheoryContext) {
+    /// Replaces the theory context with a freshly built one, folding the
+    /// retired tableau's lifetime counters into the stats first.
+    fn rebuild_theory(&mut self, theory: &mut TheoryContext) {
+        self.stats.theory_rebuilds += 1;
         self.stats.pivots += theory.simplex.pivots();
         self.stats.queue_pops += theory.simplex.queue_pops();
+        *theory = self.fresh_theory();
     }
 
     /// Builds a fresh theory context with the current check's governor
     /// installed on its simplex (used at check start and on every rebuild).
     fn fresh_theory(&self) -> TheoryContext {
-        let mut theory =
-            TheoryContext::new(self.vars.len(), &self.cnf, self.config.theory_propagation);
+        let mut theory = TheoryContext::new(self.vars.len(), &self.cnf);
         if let Some(governor) = &self.governor {
             theory.simplex.set_governor(Arc::clone(governor));
         }
@@ -736,12 +633,9 @@ impl SmtSolver {
     /// Runs a simplex feasibility check on the theory literals currently
     /// assigned by the SAT core.
     ///
-    /// Incremental mode synchronises the persistent simplex with the SAT
-    /// trail: bounds of literals no longer on the trail are popped, bounds of
-    /// newly assigned atom literals are asserted, and the warm simplex state
-    /// is re-solved. From-scratch mode (the ablation baseline) rebuilds the
-    /// theory context first, which re-registers every atom row and re-asserts
-    /// every bound.
+    /// The persistent simplex is synchronised with the SAT trail: bounds of
+    /// literals no longer on the trail are popped, bounds of newly assigned
+    /// atom literals are asserted, and the warm simplex state is re-solved.
     /// `full` marks the mandatory check at a complete propositional
     /// assignment: only there is a concrete model materialised and validated
     /// (partial checks just prune the search, so their model would be
@@ -754,16 +648,11 @@ impl SmtSolver {
     ) -> TheoryOutcome {
         self.stats.theory_checks += 1;
         let started = Instant::now();
-        // A fresh tableau has no accumulated pivot error; rebuild when asked
-        // (ablation mode) and periodically as numerical hygiene — float error
-        // compounds through pivot arithmetic and the sparse engine has no
-        // refactorisation step.
-        if !self.config.incremental_theory || theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
-            if self.config.incremental_theory {
-                self.stats.theory_rebuilds += 1;
-            }
-            self.fold_theory_counters(theory);
-            *theory = self.fresh_theory();
+        // A fresh tableau has no accumulated pivot error; rebuild
+        // periodically as numerical hygiene — float error compounds through
+        // pivot arithmetic and the sparse engine has no refactorisation step.
+        if theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
+            self.rebuild_theory(theory);
         }
         let low_water = sat.trail_low_water();
         sat.reset_trail_low_water();
@@ -793,11 +682,7 @@ impl SmtSolver {
         // detection), and on the rebuild path below (plain solving is
         // complete without it, which also guarantees a rebuild can never
         // re-derive a bogus conflict).
-        if !full
-            && self.config.theory_propagation
-            && matches!(outcome, SolveOutcome::Feasible)
-            && self.propagation_worthwhile(sat)
-        {
+        if !full && matches!(outcome, SolveOutcome::Feasible) && self.propagation_worthwhile(sat) {
             outcome = self.theory_propagate(theory, sat);
         }
         // Verdicts from a long-lived tableau are not trusted blindly: a
@@ -833,11 +718,7 @@ impl SmtSolver {
             SolveOutcome::Conflict(explanation) => self.explanation_feasible(explanation),
         };
         if needs_rebuild {
-            if self.config.incremental_theory {
-                self.stats.theory_rebuilds += 1;
-            }
-            self.fold_theory_counters(theory);
-            *theory = self.fresh_theory();
+            self.rebuild_theory(theory);
             outcome = self.sync_and_solve(theory, sat, 0);
             if self.tripped().is_some() {
                 self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
@@ -1019,7 +900,12 @@ impl SmtSolver {
     }
 
     /// Runs theory-level bound propagation and pushes its consequences to the
-    /// SAT core (see [`SolverConfig::theory_propagation`]).
+    /// SAT core: after a consistent partial check, bounds implied by the
+    /// asserted ones are derived by interval-propagating the tableau rows
+    /// ([`Simplex::propagate_bounds`]), every theory atom decided by a derived
+    /// bound is fixed on the SAT trail with a persistent implication clause,
+    /// and a derived-vs-asserted bound clash surfaces as a conflict with a
+    /// generalised explanation.
     fn theory_propagate(
         &mut self,
         theory: &mut TheoryContext,
@@ -1316,43 +1202,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_from_scratch_backends_agree() {
-        for incremental in [false, true] {
-            let (pool, x, y) = pool2();
-            let mut solver = SmtSolver::with_config(
-                pool,
-                SolverConfig {
-                    incremental_theory: incremental,
-                    ..SolverConfig::default()
-                },
-            );
-            solver.assert(Formula::or(vec![
-                Formula::atom(LinExpr::var(x).ge(4.0)),
-                Formula::atom(LinExpr::var(y).ge(4.0)),
-            ]));
-            solver.assert(Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(5.0)));
-            solver.assert(Formula::atom(LinExpr::var(x).ge(0.0)));
-            solver.assert(Formula::atom(LinExpr::var(y).ge(0.0)));
-            let model = solver.check().unwrap().expect_sat();
-            assert!(
-                model.value(x) >= 4.0 - 1e-9 || model.value(y) >= 4.0 - 1e-9,
-                "backend incremental={incremental} produced a bad model"
-            );
-            assert!(model.value(x) + model.value(y) <= 5.0 + 1e-9);
-        }
-    }
-
-    #[test]
     fn budget_exhaustion_is_reported() {
         let (pool, x, y) = pool2();
-        let mut solver = SmtSolver::with_config(
-            pool,
-            SolverConfig {
-                max_conflicts: 0,
-                partial_check_interval: 0,
-                ..SolverConfig::default()
-            },
-        );
+        let mut solver = SmtSolver::new(pool);
+        solver.set_budget(Budget::unlimited().with_conflict_cap(0));
         // Force at least one conflict so the zero budget trips.
         let a = Formula::atom(LinExpr::var(x).ge(1.0));
         let b = Formula::atom(LinExpr::var(y).ge(1.0));

@@ -13,7 +13,7 @@ mod testutil;
 use std::time::{Duration, Instant};
 
 use cps_smt::{Budget, CheckResult, Formula, InterruptReason, SmtError, SmtSolver, VarPool};
-use testutil::{env_seed, grid_configs, Gen};
+use testutil::{env_seed, Gen};
 
 const CASES: u64 = 20;
 
@@ -43,8 +43,8 @@ fn axes() -> Vec<(&'static str, Budget, InterruptReason)> {
     ]
 }
 
-fn build(config: cps_smt::SolverConfig, pool: &VarPool, formulas: &[Formula]) -> SmtSolver {
-    let mut solver = SmtSolver::with_config(pool.clone(), config);
+fn build(pool: &VarPool, formulas: &[Formula]) -> SmtSolver {
+    let mut solver = SmtSolver::new(pool.clone());
     for f in formulas {
         solver.assert(f.clone());
     }
@@ -80,35 +80,33 @@ fn run_axis_suite(seed: u64, witness: bool) {
         } else {
             gen.staircase_unsat_system()
         };
-        for (config, label) in grid_configs() {
-            // Reference: uninterrupted check on a fresh solver.
-            let reference = build(config, &pool, &formulas)
-                .check()
-                .expect("unbudgeted check completes");
+        // Reference: uninterrupted check on a fresh solver.
+        let reference = build(&pool, &formulas)
+            .check()
+            .expect("unbudgeted check completes");
 
-            for (axis, budget, expected) in axes() {
-                let mut solver = build(config, &pool, &formulas);
-                if axis == "cancelled" {
-                    solver.cancel_token().cancel();
-                } else {
-                    solver.set_budget(budget);
-                }
-                let context = format!("case {case} ({label}, axis {axis})");
-                match solver.check() {
-                    Err(SmtError::Interrupted { reason, .. }) => {
-                        assert_eq!(reason, expected, "{context}: wrong interrupt reason");
-                    }
-                    other => panic!("{context}: expected interruption, got {other:?}"),
-                }
-
-                // Retry on the SAME solver with the budget lifted.
-                solver.set_budget(Budget::unlimited());
-                solver.cancel_token().reset();
-                let retried = solver
-                    .check()
-                    .unwrap_or_else(|e| panic!("{context}: retry failed: {e:?}"));
-                assert_bit_identical(&reference, &retried, &pool, &context);
+        for (axis, budget, expected) in axes() {
+            let mut solver = build(&pool, &formulas);
+            if axis == "cancelled" {
+                solver.cancel_token().cancel();
+            } else {
+                solver.set_budget(budget);
             }
+            let context = format!("case {case} (axis {axis})");
+            match solver.check() {
+                Err(SmtError::Interrupted { reason, .. }) => {
+                    assert_eq!(reason, expected, "{context}: wrong interrupt reason");
+                }
+                other => panic!("{context}: expected interruption, got {other:?}"),
+            }
+
+            // Retry on the SAME solver with the budget lifted.
+            solver.set_budget(Budget::unlimited());
+            solver.cancel_token().reset();
+            let retried = solver
+                .check()
+                .unwrap_or_else(|e| panic!("{context}: retry failed: {e:?}"));
+            assert_bit_identical(&reference, &retried, &pool, &context);
         }
     }
 }

@@ -3,15 +3,13 @@
 //! over the once-asserted base system) and *from scratch* (a fresh solver per
 //! round re-asserting base + round). Every round's verdict — and on SAT, the
 //! model's exact floating-point values — must be bit-identical between the
-//! two replays, on every corner of the 16-corner configuration grid. This is
-//! the property that lets the synthesis layer warm-start its rounds
-//! (`SolverConfig::incremental_rounds`) without changing a single synthesized
-//! threshold.
+//! two replays. This is the property that lets the synthesis layer
+//! warm-start its rounds without changing a single synthesized threshold.
 
 mod testutil;
 
 use cps_smt::{CheckResult, Formula, SmtSolver, VarPool};
-use testutil::{env_seed, grid_configs, Gen};
+use testutil::{env_seed, Gen};
 
 const CASES: u64 = 25;
 const ROUNDS: usize = 6;
@@ -50,55 +48,51 @@ fn workload(gen: &mut Gen) -> Workload {
 }
 
 #[test]
-fn incremental_rounds_replay_identically_to_scratch_rounds() {
+fn warm_rounds_replay_identically_to_scratch_rounds() {
     let mut gen = Gen::new(env_seed(0xCE_615));
     for case in 0..CASES {
         let w = workload(&mut gen);
-        for (config, label) in grid_configs() {
-            // Incremental replay: one warm solver across all rounds.
-            let mut warm = SmtSolver::with_config(w.pool.clone(), config);
-            for f in &w.base {
+        // Incremental replay: one warm solver across all rounds.
+        let mut warm = SmtSolver::new(w.pool.clone());
+        for f in &w.base {
+            warm.assert(f.clone());
+        }
+        for (round, constraints) in w.rounds.iter().enumerate() {
+            warm.push();
+            for f in constraints {
                 warm.assert(f.clone());
             }
-            for (round, constraints) in w.rounds.iter().enumerate() {
-                warm.push();
-                for f in constraints {
-                    warm.assert(f.clone());
-                }
-                let warm_verdict = warm.check().expect("ample budget");
-                warm.pop();
+            let warm_verdict = warm.check().expect("ample budget");
+            warm.pop();
 
-                // From-scratch replay of the same round.
-                let mut fresh = SmtSolver::with_config(w.pool.clone(), config);
-                for f in w.base.iter().chain(constraints.iter()) {
-                    fresh.assert(f.clone());
-                }
-                let fresh_verdict = fresh.check().expect("ample budget");
-
-                match (&warm_verdict, &fresh_verdict) {
-                    (CheckResult::Sat(a), CheckResult::Sat(b)) => assert_eq!(
-                        a.values(),
-                        b.values(),
-                        "case {case} round {round} ({label}): models differ bitwise"
-                    ),
-                    (CheckResult::Unsat, CheckResult::Unsat) => {}
-                    other => {
-                        panic!("case {case} round {round} ({label}): verdicts disagree: {other:?}")
-                    }
-                }
-            }
-            // After all rounds the warm solver is back to base scope and must
-            // still agree with a fresh base-only check.
-            let warm_base = warm.check().expect("ample budget");
-            let mut fresh = SmtSolver::with_config(w.pool.clone(), config);
-            for f in &w.base {
+            // From-scratch replay of the same round.
+            let mut fresh = SmtSolver::new(w.pool.clone());
+            for f in w.base.iter().chain(constraints.iter()) {
                 fresh.assert(f.clone());
             }
-            assert_eq!(
-                warm_base,
-                fresh.check().expect("ample budget"),
-                "case {case} ({label}): post-replay base state diverged"
-            );
+            let fresh_verdict = fresh.check().expect("ample budget");
+
+            match (&warm_verdict, &fresh_verdict) {
+                (CheckResult::Sat(a), CheckResult::Sat(b)) => assert_eq!(
+                    a.values(),
+                    b.values(),
+                    "case {case} round {round}: models differ bitwise"
+                ),
+                (CheckResult::Unsat, CheckResult::Unsat) => {}
+                other => panic!("case {case} round {round}: verdicts disagree: {other:?}"),
+            }
         }
+        // After all rounds the warm solver is back to base scope and must
+        // still agree with a fresh base-only check.
+        let warm_base = warm.check().expect("ample budget");
+        let mut fresh = SmtSolver::new(w.pool.clone());
+        for f in &w.base {
+            fresh.assert(f.clone());
+        }
+        assert_eq!(
+            warm_base,
+            fresh.check().expect("ample budget"),
+            "case {case}: post-replay base state diverged"
+        );
     }
 }

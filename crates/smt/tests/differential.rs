@@ -1,7 +1,5 @@
-//! Randomized differential suite for the solver scale-out machinery: systems
-//! with verdicts known **by construction** are checked across the full
-//! 16-corner configuration grid (incremental theory × theory propagation ×
-//! Luby restarts × clause-DB reduction).
+//! Randomized differential suite for the DPLL(T) solver: systems with
+//! verdicts known **by construction** are checked against those verdicts.
 //!
 //! Two generator families pin the verdict in advance:
 //! - *witnessed-SAT*: every atom holds at a hidden witness point, so any
@@ -12,18 +10,21 @@
 //!
 //! A third test mixes both families in one query (the staircase poisons the
 //! witnessed system), which forces real conflict-clause learning before the
-//! `Unsat` verdict — the code path where restarts and database reduction
-//! actually fire.
+//! `Unsat` verdict. A fourth test draws systems of arbitrary polarity, whose
+//! verdicts are not known in advance, and checks every model returned.
+//!
+//! The tests' `_on_every_corner` suffix dates from when the solver had a grid
+//! of configurations; it is kept so the test names stay stable.
 
 mod testutil;
 
 use cps_smt::{CheckResult, Formula, SmtSolver, VarPool};
-use testutil::{env_seed, eval, grid_configs, Gen};
+use testutil::{env_seed, eval, Gen};
 
 const CASES: u64 = 80;
 
-fn verdict(config: cps_smt::SolverConfig, pool: &VarPool, formulas: &[Formula]) -> CheckResult {
-    let mut solver = SmtSolver::with_config(pool.clone(), config);
+fn verdict(pool: &VarPool, formulas: &[Formula]) -> CheckResult {
+    let mut solver = SmtSolver::new(pool.clone());
     for f in formulas {
         solver.assert(f.clone());
     }
@@ -37,20 +38,13 @@ fn witnessed_sat_systems_are_sat_on_every_corner() {
     let mut gen = Gen::new(env_seed(0x5EED_5A7));
     for case in 0..CASES {
         let (pool, formulas) = gen.formula_system(true);
-        for (config, label) in grid_configs() {
-            match verdict(config, &pool, &formulas) {
-                CheckResult::Sat(model) => {
-                    for f in &formulas {
-                        assert!(
-                            eval(f, model.values()),
-                            "case {case} ({label}): model violates {f}"
-                        );
-                    }
-                }
-                CheckResult::Unsat => {
-                    panic!("case {case} ({label}): witness-backed system declared unsat")
+        match verdict(&pool, &formulas) {
+            CheckResult::Sat(model) => {
+                for f in &formulas {
+                    assert!(eval(f, model.values()), "case {case}: model violates {f}");
                 }
             }
+            CheckResult::Unsat => panic!("case {case}: witness-backed system declared unsat"),
         }
     }
 }
@@ -60,20 +54,17 @@ fn staircase_unsat_systems_are_unsat_on_every_corner() {
     let mut gen = Gen::new(env_seed(0x5EED_0115));
     for case in 0..CASES {
         let (pool, formulas) = gen.staircase_unsat_system();
-        for (config, label) in grid_configs() {
-            assert_eq!(
-                verdict(config, &pool, &formulas),
-                CheckResult::Unsat,
-                "case {case} ({label}): contradictory staircase declared sat"
-            );
-        }
+        assert_eq!(
+            verdict(&pool, &formulas),
+            CheckResult::Unsat,
+            "case {case}: contradictory staircase declared sat"
+        );
     }
 }
 
 /// Merges a witnessed-SAT system with a staircase-UNSAT system over a shared
 /// pool: the conjunction is UNSAT, but the solver has to *search* for the
-/// contradiction through the satisfiable clutter — driving enough conflicts
-/// for the scale-out machinery to engage on the restart/reduction corners.
+/// contradiction through the satisfiable clutter.
 #[test]
 fn poisoned_systems_are_unsat_on_every_corner() {
     let mut gen = Gen::new(env_seed(0x5EED_B0B));
@@ -82,12 +73,37 @@ fn poisoned_systems_are_unsat_on_every_corner() {
         // Append a contradictory staircase over fresh variables of the same
         // pool: the combined conjunction is UNSAT, found only by search.
         formulas.extend(gen.staircase_unsat_into(&mut pool));
-        for (config, label) in grid_configs() {
-            assert_eq!(
-                verdict(config, &pool, &formulas),
-                CheckResult::Unsat,
-                "case {case} ({label}): poisoned system declared sat"
-            );
+        assert_eq!(
+            verdict(&pool, &formulas),
+            CheckResult::Unsat,
+            "case {case}: poisoned system declared sat"
+        );
+    }
+}
+
+/// Systems of arbitrary polarity (no witness): every `Sat` model must
+/// satisfy every asserted formula, and the generator must produce both
+/// verdicts so the check is not vacuous.
+#[test]
+fn arbitrary_systems_yield_valid_models_and_both_verdicts() {
+    let mut gen = Gen::new(env_seed(0xD1CE));
+    let mut sat = 0usize;
+    let mut unsat = 0usize;
+    for case in 0..120 {
+        let (pool, formulas) = gen.formula_system(false);
+        match verdict(&pool, &formulas) {
+            CheckResult::Sat(model) => {
+                for f in &formulas {
+                    assert!(eval(f, model.values()), "case {case}: model violates {f}");
+                }
+                sat += 1;
+            }
+            CheckResult::Unsat => unsat += 1,
         }
     }
+    assert!(sat > 0, "generator never produced a satisfiable system");
+    assert!(
+        unsat > 0,
+        "generator never produced an unsatisfiable system"
+    );
 }

@@ -3,19 +3,18 @@
 //! never saw the scoped assertions — same verdict, same model values — both
 //! for the simple assert → push → assert → pop pattern and for randomized
 //! interleavings of asserts, pushes and pops. Scope restoration is what makes
-//! warm-started CEGIS rounds equivalent to fresh-per-round ones, so these
-//! properties are checked across the full 16-corner configuration grid.
+//! warm-started CEGIS rounds equivalent to fresh-per-round ones.
 
 mod testutil;
 
 use cps_linalg::SplitMix64;
-use cps_smt::{CheckResult, Formula, SmtSolver, SolverConfig, VarId, VarPool};
-use testutil::{env_seed, grid_configs, Gen};
+use cps_smt::{CheckResult, Formula, SmtSolver, VarId, VarPool};
+use testutil::{env_seed, Gen};
 
 const CASES: u64 = 60;
 
-fn fresh_verdict(config: SolverConfig, pool: &VarPool, formulas: &[Formula]) -> CheckResult {
-    let mut solver = SmtSolver::with_config(pool.clone(), config);
+fn fresh_verdict(pool: &VarPool, formulas: &[Formula]) -> CheckResult {
+    let mut solver = SmtSolver::new(pool.clone());
     for f in formulas {
         solver.assert(f.clone());
     }
@@ -43,24 +42,22 @@ fn pop_restores_the_never_pushed_state() {
         let scoped: Vec<Formula> = (0..1 + gen.rng.usize_below(3))
             .map(|_| gen.formula(&ids, &point, false, 2))
             .collect();
-        for (config, label) in grid_configs() {
-            let mut solver = SmtSolver::with_config(pool.clone(), config);
-            for f in &base {
-                solver.assert(f.clone());
-            }
-            solver.push();
-            for f in &scoped {
-                solver.assert(f.clone());
-            }
-            let _ = solver.check().expect("ample budget");
-            solver.pop();
-            let after_pop = solver.check().expect("ample budget");
-            let never_pushed = fresh_verdict(config, &pool, &base);
-            assert_eq!(
-                after_pop, never_pushed,
-                "case {case} ({label}): check after pop differs from never-pushed state"
-            );
+        let mut solver = SmtSolver::new(pool.clone());
+        for f in &base {
+            solver.assert(f.clone());
         }
+        solver.push();
+        for f in &scoped {
+            solver.assert(f.clone());
+        }
+        let _ = solver.check().expect("ample budget");
+        solver.pop();
+        let after_pop = solver.check().expect("ample budget");
+        let never_pushed = fresh_verdict(&pool, &base);
+        assert_eq!(
+            after_pop, never_pushed,
+            "case {case}: check after pop differs from never-pushed state"
+        );
     }
 }
 
@@ -72,8 +69,7 @@ fn randomized_interleavings_match_flat_assertions() {
         let mut ops_rng = SplitMix64::new(0xA11CE ^ case);
         // Shadow stack of assertion frames; frame 0 is the base level.
         let mut frames: Vec<Vec<Formula>> = vec![Vec::new()];
-        let config = SolverConfig::default();
-        let mut solver = SmtSolver::with_config(pool.clone(), config);
+        let mut solver = SmtSolver::new(pool.clone());
         for _ in 0..6 + ops_rng.usize_below(8) {
             match ops_rng.usize_below(4) {
                 // Assert into the current innermost frame.
@@ -102,7 +98,7 @@ fn randomized_interleavings_match_flat_assertions() {
         assert_eq!(solver.scope_depth(), frames.len() - 1);
         let live: Vec<Formula> = frames.iter().flatten().cloned().collect();
         let interleaved = solver.check().expect("ample budget");
-        let flat = fresh_verdict(config, &pool, &live);
+        let flat = fresh_verdict(&pool, &live);
         assert_eq!(
             interleaved, flat,
             "case {case}: interleaved push/pop state diverged from flat assertions"

@@ -1,5 +1,5 @@
-//! Shared deterministic generators, evaluators and configuration grids for
-//! the crate's randomized differential test suites. Every integration-test
+//! Shared deterministic generators and evaluators for the crate's
+//! randomized differential test suites. Every integration-test
 //! binary that needs them declares `mod testutil;`, so any single binary
 //! uses only a subset of the items — hence the file-level `dead_code` allow.
 //!
@@ -10,7 +10,7 @@
 #![allow(dead_code)]
 
 use cps_linalg::SplitMix64;
-use cps_smt::{Constraint, Formula, LinExpr, SolverConfig, VarId, VarPool};
+use cps_smt::{Constraint, Formula, LinExpr, VarId, VarPool};
 
 /// Mixes a test's base seed with the `CPS_SMT_SEED` environment variable so
 /// CI can sweep a seed matrix without recompiling. Unset, empty or `0` leaves
@@ -24,36 +24,6 @@ pub fn env_seed(base: u64) -> u64 {
         },
         Err(_) => base,
     }
-}
-
-/// The full 2×2×2×2 ablation grid of [`SolverConfig`] corners:
-/// `incremental_theory` × `theory_propagation` × `restarts` ×
-/// `clause_db_reduction`, each paired with a human-readable label for
-/// failure messages. `incremental_rounds` is not a search dimension (it only
-/// selects who owns the solver across rounds), so it keeps its default here
-/// and is exercised separately by the CEGIS replay suite.
-pub fn grid_configs() -> Vec<(SolverConfig, String)> {
-    let mut corners = Vec::with_capacity(16);
-    for incremental in [true, false] {
-        for propagation in [true, false] {
-            for restarts in [true, false] {
-                for reduction in [true, false] {
-                    let config = SolverConfig {
-                        incremental_theory: incremental,
-                        theory_propagation: propagation,
-                        restarts,
-                        clause_db_reduction: reduction,
-                        ..SolverConfig::default()
-                    };
-                    let label = format!(
-                        "inc={incremental},prop={propagation},restart={restarts},reduce={reduction}"
-                    );
-                    corners.push((config, label));
-                }
-            }
-        }
-    }
-    corners
 }
 
 /// Evaluates a generated formula (no free Boolean variables) at a

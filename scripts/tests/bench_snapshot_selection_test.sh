@@ -108,6 +108,29 @@ check_gate_with_floor() {
 }
 check_gate_with_floor
 
+# A row present only in the baseline (a retired bench) is reported as
+# retired and never fails the gate, while the rows both sides share are
+# still compared.
+check_retired_row() {
+    local dir
+    dir="$(mktemp -d)"
+    printf '{\n  "g/kept": 100000,\n  "g/retired": 100000\n}\n' > "$dir/base.json"
+    printf '{\n  "g/kept": 100000\n}\n' > "$dir/fresh.json"
+    local status=0 out
+    out="$(CPS_BENCH_TOLERANCE=25 CPS_BENCH_NOISE_FLOOR_NS=0 \
+        "$script" --compare "$dir/base.json" "$dir/fresh.json")" || status=$?
+    if ((status == 0)) \
+        && grep -q "retired bench (baseline only): g/retired" <<< "$out" \
+        && grep -q "g/kept" <<< "$out"; then
+        echo "ok: a baseline-only row is reported as retired and passes the gate"
+    else
+        echo "FAIL: retired row (exit $status): $out" >&2
+        failures=$((failures + 1))
+    fi
+    rm -rf "$dir"
+}
+check_retired_row
+
 if ((failures > 0)); then
     echo "$failures selection test(s) failed" >&2
     exit 1

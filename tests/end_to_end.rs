@@ -5,8 +5,8 @@
 use cps_control::ResidueNorm;
 use cps_detectors::{Detector, ThresholdDetector};
 use secure_cps::{
-    synthesize_static_threshold, AttackSynthesizer, FarExperiment, LpAttackSynthesizer,
-    MonitorEncoding, PivotSynthesizer, StepwiseSynthesizer, SynthesisConfig,
+    synthesize_static_threshold, AttackSynthesizer, ConvergenceStatus, FarExperiment,
+    LpAttackSynthesizer, MonitorEncoding, PivotSynthesizer, StepwiseSynthesizer, SynthesisConfig,
 };
 
 fn fast_config() -> SynthesisConfig {
@@ -122,87 +122,72 @@ fn vsc_attack_exists_under_exact_dead_zone_at_reduced_horizon() {
     }
 }
 
-/// Regression guard for PR 2's mis-reported-UNSAT bug: the dense from-scratch
-/// core declared the T≥14 exact VSC query UNSAT after pivoting on ~1e-17
+/// Regression guard for a mis-reported UNSAT: an earlier dense theory core
+/// declared the T≥14 exact VSC query UNSAT after pivoting on ~1e-17
 /// cancellation residue. The query is known SAT (the T=50 attack of Fig. 2
-/// restricts to every prefix horizon), and it must *stay* SAT under each
-/// ablation corner of the conflict-generalising engine — a wrong UNSAT here
-/// is exactly the failure mode that would fabricate CEGIS certificates.
+/// restricts to every prefix horizon) — a wrong UNSAT here is exactly the
+/// failure mode that would fabricate CEGIS certificates.
 #[test]
-fn vsc_exact_t14_stays_sat_under_every_engine_configuration() {
+fn vsc_exact_t14_query_is_sat_with_a_verified_attack() {
     let benchmark = cps_models::vsc().unwrap();
-    for (incremental, propagation) in [(true, true), (true, false), (false, true)] {
-        let config = SynthesisConfig {
-            horizon_override: Some(14),
-            solver: cps_smt::SolverConfig {
-                incremental_theory: incremental,
-                theory_propagation: propagation,
-                ..cps_smt::SolverConfig::default()
-            },
-            ..fast_config()
-        };
-        let synthesizer = AttackSynthesizer::new(&benchmark, config);
-        let attack = synthesizer
-            .synthesize(None)
-            .expect("query decided")
-            .unwrap_or_else(|| {
-                panic!(
-                    "T=14 VSC query mis-reported UNSAT \
-                     (incremental={incremental}, propagation={propagation})"
-                )
-            });
-        assert!(
-            synthesizer.verify_attack(&attack, None),
-            "T=14 attack must verify under exact runtime semantics \
-             (incremental={incremental}, propagation={propagation})"
-        );
-    }
+    let config = SynthesisConfig {
+        horizon_override: Some(14),
+        ..fast_config()
+    };
+    let synthesizer = AttackSynthesizer::new(&benchmark, config);
+    let attack = synthesizer
+        .synthesize(None)
+        .expect("query decided")
+        .expect("T=14 VSC query mis-reported UNSAT");
+    assert!(
+        synthesizer.verify_attack(&attack, None),
+        "T=14 attack must verify under exact runtime semantics"
+    );
 }
 
-/// Regression guard for PR 6's warm-started incremental CEGIS rounds: running
-/// the same short VSC threshold synthesis twice — once with a fresh solver
-/// per round, once with `incremental_rounds` reusing one solver through
-/// push/pop scopes — must produce *identical* thresholds, round counts and
-/// convergence flags. Warm starting is a perf lever, never a semantic one.
+/// Warm-started CEGIS rounds are a perf lever, never a semantic one: every
+/// query of one long-lived synthesizer (round constraints pushed and popped
+/// over its once-asserted base encoding) must return exactly what the first,
+/// cold query of a newly built synthesizer returns for the same thresholds —
+/// the same attack bit for bit, after the same search.
 #[test]
 fn vsc_warm_started_synthesis_matches_fresh_per_round_synthesis() {
     let benchmark = cps_models::vsc().expect("model builds");
-    let run = |incremental_rounds: bool| {
-        let config = SynthesisConfig {
-            horizon_override: Some(14),
-            solver: cps_smt::SolverConfig {
-                incremental_rounds,
-                ..cps_smt::SolverConfig::default()
-            },
-            ..fast_config()
-        };
-        PivotSynthesizer::new(&benchmark, config)
-            .with_max_rounds(6)
-            .run()
-            .expect("synthesis runs")
+    let config = SynthesisConfig {
+        horizon_override: Some(14),
+        ..fast_config()
     };
-    let fresh = run(false);
-    let warm = run(true);
-    assert_eq!(
-        warm.partial, fresh.partial,
-        "warm-started rounds changed the synthesized thresholds"
-    );
-    assert_eq!(warm.rounds, fresh.rounds, "round counts diverged");
-    assert_eq!(
-        warm.converged, fresh.converged,
-        "convergence verdicts diverged"
-    );
-    assert_eq!(
-        warm.attacks_eliminated, fresh.attacks_eliminated,
-        "counterexample counts diverged"
-    );
-    assert_eq!(
-        fresh.solver_stats.scopes_reused, 0,
-        "fresh-per-round runs must never report scope reuse"
-    );
+    let warm = AttackSynthesizer::new(&benchmark, config);
+    let mut th: Vec<Option<f64>> = vec![None; warm.horizon()];
+    let mut scopes_reused = 0;
+    for round in 0..4 {
+        let warm_result = warm.synthesize(Some(&th)).expect("query decided");
+        let warm_stats = warm.last_solver_stats();
+        scopes_reused += warm_stats.scopes_reused;
+
+        let fresh = AttackSynthesizer::new(&benchmark, config);
+        let fresh_result = fresh.synthesize(Some(&th)).expect("query decided");
+        let fresh_stats = fresh.last_solver_stats();
+        assert_eq!(
+            warm_result, fresh_result,
+            "round {round}: warm query diverged from a cold one"
+        );
+        let work = |s: cps_smt::SolverStats| (s.decisions, s.conflicts, s.theory_checks, s.pivots);
+        assert_eq!(
+            work(warm_stats),
+            work(fresh_stats),
+            "round {round}: warm and cold searches differ"
+        );
+        assert_eq!(fresh_stats.scopes_reused, 0, "a cold query reused a scope");
+
+        // Tighten at the counterexample's residue peak, as Algorithm 2 does.
+        let Some(attack) = warm_result else { break };
+        let (pivot, value) = attack.pivot();
+        th[pivot] = Some(0.75 * value);
+    }
     assert!(
-        warm.solver_stats.scopes_reused > 0,
-        "warm run reported no reused scopes — incremental_rounds is not engaging"
+        scopes_reused > 0,
+        "no query was served warm — the warm solver is not engaging"
     );
 }
 
@@ -219,6 +204,31 @@ fn vsc_conjunctive_monitors_block_dead_zone_free_attackers() {
     };
     let synth = AttackSynthesizer::new(&benchmark, config);
     assert!(synth.synthesize(None).expect("query decided").is_none());
+}
+
+/// A run whose undefended loop admits no attack synthesised nothing, and
+/// must say so rather than report a converged detector.
+#[test]
+fn vacuous_vsc_runs_report_no_attack_instead_of_convergence() {
+    let benchmark = cps_models::vsc().expect("model builds");
+    let config = SynthesisConfig {
+        monitor_encoding: MonitorEncoding::ConjunctiveAfter(5),
+        ..SynthesisConfig::default()
+    };
+    let pivot = PivotSynthesizer::new(&benchmark, config)
+        .run()
+        .expect("synthesis runs");
+    let stepwise = StepwiseSynthesizer::new(&benchmark, config)
+        .run()
+        .expect("synthesis runs");
+    for report in [pivot, stepwise] {
+        assert_eq!(report.status, ConvergenceStatus::NoAttack);
+        assert!(!report.converged, "a vacuous run is not a convergence");
+        assert_eq!(report.rounds, 0);
+        assert_eq!(report.attacks_eliminated, 0);
+        assert_eq!(report.round_stats.len(), 1, "only the round-0 query ran");
+        assert!(report.partial.iter().all(Option::is_none));
+    }
 }
 
 #[test]

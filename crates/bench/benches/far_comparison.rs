@@ -25,6 +25,19 @@ fn regenerate() {
         .expect("synthesis runs");
     let (static_spec, _) =
         synthesize_static_threshold(&benchmark, config, 8).expect("bisection runs");
+    // A FAR table is only meaningful over detectors that were synthesised:
+    // refuse to print one for a vacuous or unfinished run.
+    for (name, report) in [("algorithm 2", &pivot), ("algorithm 3", &stepwise)] {
+        assert!(
+            report.status.is_converged(),
+            "{name} did not converge: {:?}",
+            report.status
+        );
+    }
+    assert!(
+        static_spec.value_at(0).is_finite(),
+        "the static baseline must be a finite threshold"
+    );
 
     let pivot_detector = ThresholdDetector::new(pivot.threshold_spec(), ResidueNorm::Linf);
     let stepwise_detector = ThresholdDetector::new(stepwise.threshold_spec(), ResidueNorm::Linf);
@@ -45,6 +58,7 @@ fn regenerate() {
         ("chi-squared", &chi2),
         ("cusum", &cusum),
     ]);
+    assert!(report.kept > 0, "every noise rollout was filtered out");
     print_row(
         "far",
         &format!(

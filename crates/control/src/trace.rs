@@ -26,27 +26,6 @@ impl ResidueNorm {
             ResidueNorm::Linf => v.norm_inf(),
         }
     }
-
-    /// The norm of `a − b` without materialising the difference vector —
-    /// bit-identical to `self.apply(&(a - b))` (same per-component values in
-    /// the same reduction order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn apply_diff(self, a: &Vector, b: &Vector) -> f64 {
-        assert_eq!(
-            a.len(),
-            b.len(),
-            "vector subtraction requires equal lengths"
-        );
-        let diffs = a.iter().zip(b.iter()).map(|(x, y)| x - y);
-        match self {
-            ResidueNorm::L1 => diffs.map(|d| d.abs()).sum(),
-            ResidueNorm::L2 => diffs.map(|d| d * d).sum::<f64>().sqrt(),
-            ResidueNorm::Linf => diffs.fold(0.0, |acc, d| acc.max(d.abs())),
-        }
-    }
 }
 
 /// The full record of one closed-loop rollout.
@@ -153,31 +132,6 @@ impl Trace {
     pub fn residue_norms_iter(&self, norm: ResidueNorm) -> impl Iterator<Item = f64> + '_ {
         self.residues.iter().map(move |z| norm.apply(z))
     }
-
-    /// Deviation of each state from `target`, measured with `norm`.
-    pub fn state_deviations(&self, target: &Vector, norm: ResidueNorm) -> Vec<f64> {
-        self.state_deviations_iter(target, norm).collect()
-    }
-
-    /// Allocation-free variant of [`Trace::state_deviations`]: yields
-    /// `‖x_k − target‖` for `k = 0 … T` without building a `Vec` or the
-    /// per-state difference vectors.
-    pub fn state_deviations_iter<'a>(
-        &'a self,
-        target: &'a Vector,
-        norm: ResidueNorm,
-    ) -> impl Iterator<Item = f64> + 'a {
-        self.states.iter().map(move |x| norm.apply_diff(x, target))
-    }
-
-    /// The sampling instant with the largest residue norm, with the norm value
-    /// (the "pivot" used by the synthesis algorithms). Returns `None` for an
-    /// empty trace.
-    pub fn max_residue_instant(&self, norm: ResidueNorm) -> Option<(usize, f64)> {
-        self.residue_norms_iter(norm)
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("residue norms are finite"))
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +176,6 @@ mod tests {
         let trace = sample_trace();
         let norms = trace.residue_norms(ResidueNorm::Linf);
         assert_eq!(norms, vec![0.1, 0.3]);
-        assert_eq!(trace.max_residue_instant(ResidueNorm::Linf), Some((1, 0.3)));
     }
 
     #[test]
@@ -235,25 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn state_deviations_measure_distance_to_target() {
-        let trace = sample_trace();
-        let deviations = trace.state_deviations(&Vector::from_slice(&[2.0]), ResidueNorm::Linf);
-        assert_eq!(deviations, vec![2.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn apply_diff_matches_allocating_difference_bit_for_bit() {
-        let a = Vector::from_slice(&[1.25, -3.5, 0.75]);
-        let b = Vector::from_slice(&[-0.5, 2.0, 0.75]);
-        for norm in [ResidueNorm::L1, ResidueNorm::L2, ResidueNorm::Linf] {
-            assert_eq!(
-                norm.apply_diff(&a, &b).to_bits(),
-                norm.apply(&(&a - &b)).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn iterator_variants_match_vec_variants() {
         let trace = sample_trace();
         let norm = ResidueNorm::L2;
@@ -261,19 +195,12 @@ mod tests {
             trace.residue_norms_iter(norm).collect::<Vec<_>>(),
             trace.residue_norms(norm)
         );
-        let target = Vector::from_slice(&[2.0]);
-        assert_eq!(
-            trace
-                .state_deviations_iter(&target, norm)
-                .collect::<Vec<_>>(),
-            trace.state_deviations(&target, norm)
-        );
     }
 
     #[test]
     fn empty_trace_is_supported() {
         let trace = Trace::default();
         assert!(trace.is_empty());
-        assert_eq!(trace.max_residue_instant(ResidueNorm::L2), None);
+        assert!(trace.residue_norms(ResidueNorm::L2).is_empty());
     }
 }

@@ -198,60 +198,101 @@ impl UnrolledLoop {
 mod tests {
     use super::*;
     use cps_control::SensorAttack;
-    use cps_linalg::Vector;
+    use cps_linalg::{SplitMix64, Vector};
+
+    /// Largest deviation the unrolling may show from the simulator, relative
+    /// to `max(1, |simulated|)`. Both evaluate the same affine map in a
+    /// different order (the unrolling folds each quantity into one
+    /// coefficient per attack variable), so they differ by round-off. The
+    /// four small plants agree to ~1e-14. The VSC at T=50 is badly scaled
+    /// and its late residues, differences of near-equal terms, deviate by
+    /// up to ~9e-10, so it is held to 1e-8 instead of 1e-9.
+    fn tolerance(benchmark: &Benchmark) -> f64 {
+        if benchmark.name == "vehicle-stability-controller" {
+            1e-8
+        } else {
+            1e-9
+        }
+    }
+
+    fn assert_close(symbolic: f64, simulated: f64, tolerance: f64, what: &str) {
+        assert!(
+            (symbolic - simulated).abs() <= tolerance * simulated.abs().max(1.0),
+            "{what}: unrolling gives {symbolic}, simulation {simulated}"
+        );
+    }
 
     /// The symbolic unrolling evaluated at a concrete attack vector must match
-    /// the closed-loop simulator exactly (both are noise-free).
+    /// the closed-loop simulator (both are noise-free) on every plant: a ramp
+    /// up to the attack bound and random injections within it.
     #[test]
     fn unrolling_matches_simulation_on_concrete_attacks() {
-        let benchmark = cps_models::trajectory_tracking().unwrap();
-        let unrolled = UnrolledLoop::new(&benchmark);
-        let horizon = benchmark.horizon;
-
-        // A concrete attack: ramp injection on the single attacked sensor.
-        let injections: Vec<Vector> = (0..horizon)
-            .map(|k| Vector::from_slice(&[0.01 * k as f64]))
-            .collect();
-        let attack = SensorAttack::new(injections.clone());
-
-        // Assignment for the attack variables (one per step).
-        let mut assignment = vec![0.0; unrolled.vars().len()];
-        for (k, injection) in injections.iter().enumerate() {
-            assignment[unrolled.attack_var(k, 0).index()] = injection[0];
-        }
-
-        let trace = benchmark.closed_loop.simulate(
-            &benchmark.initial_state,
-            horizon,
-            &cps_control::NoiseModel::none(2, 1),
-            Some(&attack),
-            0,
-        );
-
-        for k in 0..horizon {
-            let simulated = &trace.residues()[k];
-            for j in 0..unrolled.num_residue_components() {
-                let symbolic = unrolled.residue(k, j).evaluate(&assignment);
-                assert!(
-                    (symbolic - simulated[j]).abs() < 1e-9,
-                    "residue mismatch at step {k}, component {j}: {symbolic} vs {}",
-                    simulated[j]
+        let mut rng = SplitMix64::new(0x0E4C_0DE5);
+        for benchmark in cps_models::all_benchmarks().unwrap() {
+            let unrolled = UnrolledLoop::new(&benchmark);
+            let horizon = benchmark.horizon;
+            let outputs = benchmark.num_outputs();
+            let bound = benchmark.attack_bound;
+            let tolerance = tolerance(&benchmark);
+            for case in 0..4 {
+                let mut assignment = vec![0.0; unrolled.vars().len()];
+                let injections = (0..horizon)
+                    .map(|k| {
+                        let mut injection = Vector::zeros(outputs);
+                        for (i, &sensor) in benchmark.attacked_sensors.iter().enumerate() {
+                            let value = match case {
+                                0 => bound * (k + 1) as f64 / horizon as f64,
+                                _ => rng.range(-bound, bound),
+                            };
+                            injection[sensor] = value;
+                            assignment[unrolled.attack_var(k, i).index()] = value;
+                        }
+                        injection
+                    })
+                    .collect();
+                let trace = benchmark.closed_loop.simulate(
+                    &benchmark.initial_state,
+                    horizon,
+                    &cps_control::NoiseModel::none(benchmark.num_states(), outputs),
+                    Some(&SensorAttack::new(injections)),
+                    0,
                 );
+
+                let symbols = unrolled.measurement_symbols();
+                for k in 0..horizon {
+                    let context = format!("{} case {case} step {k}", benchmark.name);
+                    let simulated = &trace.residues()[k];
+                    for j in 0..unrolled.num_residue_components() {
+                        let symbolic = unrolled.residue(k, j).evaluate(&assignment);
+                        assert_close(
+                            symbolic,
+                            simulated[j],
+                            tolerance,
+                            &format!("{context} residue {j}"),
+                        );
+                    }
+                    let simulated = &trace.measurements()[k];
+                    for j in 0..simulated.len() {
+                        let symbolic = symbols.measurement(k, j).evaluate(&assignment);
+                        assert_close(
+                            symbolic,
+                            simulated[j],
+                            tolerance,
+                            &format!("{context} output {j}"),
+                        );
+                    }
+                }
+                let simulated = trace.states().last().unwrap();
+                for (i, expr) in unrolled.final_state().iter().enumerate() {
+                    let context = format!("{} case {case} final state {i}", benchmark.name);
+                    assert_close(
+                        expr.evaluate(&assignment),
+                        simulated[i],
+                        tolerance,
+                        &context,
+                    );
+                }
             }
-            let simulated_y = &trace.measurements()[k];
-            let symbols = unrolled.measurement_symbols();
-            for j in 0..simulated_y.len() {
-                let symbolic = symbols.measurement(k, j).evaluate(&assignment);
-                assert!(
-                    (symbolic - simulated_y[j]).abs() < 1e-9,
-                    "measurement mismatch at step {k}, component {j}"
-                );
-            }
-        }
-        // Final state agreement.
-        let final_sim = trace.states().last().unwrap();
-        for (i, expr) in unrolled.final_state().iter().enumerate() {
-            assert!((expr.evaluate(&assignment) - final_sim[i]).abs() < 1e-9);
         }
     }
 

@@ -11,12 +11,11 @@ use cps_models::Benchmark;
 /// plant monitors (`mdc`), then measure how often each residue detector
 /// alarms on the kept, attack-free traces.
 ///
-/// Rollouts are embarrassingly parallel and fan out across a
-/// [`std::thread::scope`] worker pool sized to the machine (override with
-/// [`FarExperiment::with_parallelism`]). Each trial's noise stream is seeded
-/// by `seed + trial` exactly as in the sequential implementation and results
-/// are collected in trial order, so reports are **bit-identical** regardless
-/// of the worker count.
+/// [`FarExperiment::run`] streams the trials through parallel lanes, one per
+/// core by default (override with [`FarExperiment::with_parallelism`]).
+/// Each trial's noise stream is seeded by `seed + trial` and lanes exchange
+/// only integer counts, so reports are **bit-identical** regardless of the
+/// lane count.
 #[derive(Debug)]
 pub struct FarExperiment<'a> {
     benchmark: &'a Benchmark,
@@ -66,14 +65,14 @@ impl<'a> FarExperiment<'a> {
         }
     }
 
-    /// Overrides the rollout worker count (default: all available cores).
-    /// `1` forces the sequential path; used by the bit-identity tests.
+    /// Overrides the lane count of [`FarExperiment::run`] (default: all
+    /// available cores). `1` runs every trial on the calling thread.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = Some(workers.max(1));
         self
     }
 
-    /// Number of rollout workers the experiment will use.
+    /// Number of lanes [`FarExperiment::run`] will use.
     pub fn parallelism(&self) -> usize {
         self.parallelism.unwrap_or_else(|| {
             thread::available_parallelism()
@@ -82,59 +81,36 @@ impl<'a> FarExperiment<'a> {
         })
     }
 
-    /// Simulates trial `trial` and applies the pfc / monitor filter.
+    /// Generates the filtered population of attack-free noisy traces, in
+    /// trial order.
     ///
     /// The paper samples noise "from a suitably small range such that pfc is
-    /// maintained" and then discards rollouts flagged by `mdc`.
-    fn rollout(&self, trial: usize) -> Option<Trace> {
-        let trace = self.benchmark.closed_loop.simulate(
-            &self.benchmark.initial_state,
-            self.benchmark.horizon,
-            &self.benchmark.noise,
-            None,
-            self.seed.wrapping_add(trial as u64),
-        );
-        let pfc_ok = self
-            .benchmark
-            .performance
-            .satisfied_by(trace.states().last().expect("non-empty trace"));
-        // `first_alarm` short-circuits at the instant the verdict is decided
-        // and allocates nothing, unlike the full `evaluate` verdict.
-        let keep = pfc_ok
-            && self
-                .benchmark
-                .monitors
-                .first_alarm(trace.measurements())
-                .is_none();
-        keep.then_some(trace)
-    }
-
-    /// Generates the filtered population of attack-free noisy traces.
+    /// maintained" and then discards rollouts flagged by `mdc`. This is the
+    /// materialising reference of [`FarExperiment::run`]: one sequential
+    /// simulate → pfc → [`MonitorSuite::evaluate`] loop, kept so tests can
+    /// check the streaming lanes against [`cps_detectors::false_alarm_rate`]
+    /// over its traces.
     ///
-    /// Trials fan out over the worker pool; the kept traces come back in
-    /// trial order, so the result is identical to a sequential run.
+    /// [`MonitorSuite::evaluate`]: cps_monitors::MonitorSuite::evaluate
     pub fn noise_traces(&self) -> Vec<Trace> {
-        let workers = self.parallelism().min(self.num_trials.max(1));
-        let mut slots: Vec<Option<Trace>> = Vec::new();
-        slots.resize_with(self.num_trials, || None);
-        if workers <= 1 {
-            for (trial, slot) in slots.iter_mut().enumerate() {
-                *slot = self.rollout(trial);
-            }
-        } else {
-            let chunk = self.num_trials.div_ceil(workers);
-            thread::scope(|scope| {
-                for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                    let base = w * chunk;
-                    scope.spawn(move || {
-                        for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = self.rollout(base + i);
-                        }
-                    });
-                }
-            });
-        }
-        slots.into_iter().flatten().collect()
+        let benchmark = self.benchmark;
+        (0..self.num_trials)
+            .map(|trial| {
+                benchmark.closed_loop.simulate(
+                    &benchmark.initial_state,
+                    benchmark.horizon,
+                    &benchmark.noise,
+                    None,
+                    self.seed.wrapping_add(trial as u64),
+                )
+            })
+            .filter(|trace| {
+                benchmark
+                    .performance
+                    .satisfied_by(trace.states().last().expect("non-empty trace"))
+                    && !benchmark.monitors.evaluate(trace.measurements()).alarmed()
+            })
+            .collect()
     }
 
     /// Streams the trials of a contiguous lane through one set of reusable
@@ -206,14 +182,12 @@ impl<'a> FarExperiment<'a> {
 
     /// Runs the experiment against a set of named detectors.
     ///
-    /// Trials stream through batched parallel lanes: lane `w` of `L` scans
-    /// the contiguous trial chunk `[w·c, (w+1)·c)` with `c = ⌈N/L⌉` — the
-    /// same deterministic assignment rule as [`FarExperiment::noise_traces`]
-    /// — and each lane reuses one set of step buffers and scanners across
-    /// its trials (`scan_range` above), so no rollout is ever
-    /// materialised as a [`Trace`]. Lanes report integer kept/alarm counts
-    /// that are summed in lane order, so reports are **bit-identical** for
-    /// every lane count and to the retired collect-then-scan implementation.
+    /// Trials stream through parallel lanes: lane `w` of `L` scans the
+    /// contiguous trial chunk `[w·c, (w+1)·c)` with `c = ⌈N/L⌉`, and each
+    /// lane reuses one set of step buffers and scanners across its trials
+    /// (`scan_range` above), so no rollout is ever materialised as a
+    /// [`Trace`]. Lanes report integer kept/alarm counts that are summed in
+    /// lane order, so reports are **bit-identical** for every lane count.
     ///
     /// Detector evaluation is fused per trial: every detector's streaming
     /// scanner ([`Detector::scanner`], allocated once per lane) is fed the
@@ -241,8 +215,7 @@ impl<'a> FarExperiment<'a> {
                 kept: 0,
                 alarms: vec![0usize; detectors.len()],
             };
-            // Integer counts: summation order cannot matter, but lanes are
-            // still folded in lane order for uniformity with noise_traces.
+            // Integer counts: summation order cannot change the result.
             for lane in slots.into_iter().flatten() {
                 total.kept += lane.kept;
                 for (count, add) in total.alarms.iter_mut().zip(&lane.alarms) {
@@ -339,14 +312,6 @@ mod tests {
                 report_seq, report_par,
                 "{workers}-worker report differs from sequential"
             );
-            // Trace-level identity, not just aggregate rates.
-            let traces_seq = sequential.noise_traces();
-            let traces_par = parallel.noise_traces();
-            assert_eq!(traces_seq.len(), traces_par.len());
-            for (a, b) in traces_seq.iter().zip(traces_par.iter()) {
-                assert_eq!(a.measurements(), b.measurements());
-                assert_eq!(a.residues(), b.residues());
-            }
         }
     }
 

@@ -20,7 +20,10 @@ use crate::{AttackSynthesizer, SynthesisConfig, SynthesisError};
 ///
 /// # Errors
 ///
-/// Propagates solver-budget exhaustion from the Algorithm 1 queries.
+/// [`SynthesisError::NoAttack`] when the undefended loop admits no stealthy
+/// attack (every threshold, `+∞` included, would be "safe", so there is no
+/// baseline to report); otherwise propagates solver failures and budget
+/// exhaustion from the Algorithm 1 queries.
 pub fn synthesize_static_threshold(
     benchmark: &Benchmark,
     config: SynthesisConfig,
@@ -30,11 +33,10 @@ pub fn synthesize_static_threshold(
     let horizon = synthesizer.horizon();
     let mut queries = 0;
 
-    // Upper end of the bracket: the undefended attack's residue peak (if the
-    // monitors alone already block every attack, any threshold is safe).
+    // Upper end of the bracket: the undefended attack's residue peak.
     queries += 1;
     let Some(initial) = synthesizer.synthesize(None)? else {
-        return Ok((ThresholdSpec::constant(f64::INFINITY, horizon), queries));
+        return Err(SynthesisError::NoAttack);
     };
     let (_, peak) = initial.pivot();
     let mut lo = 0.0_f64; // threshold 0 alarms on everything: trivially safe
@@ -94,5 +96,20 @@ mod tests {
         // More bisection steps can only move the safe threshold upwards
         // (towards the true supremum), never below the coarse estimate.
         assert!(fine.value_at(0) + 1e-12 >= coarse.value_at(0));
+    }
+
+    #[test]
+    fn unattackable_loop_is_a_typed_error_not_an_infinite_threshold() {
+        // Under the conjunctive dead-zone encoding the undefended VSC admits
+        // no attack (the CEGIS loops report `ConvergenceStatus::NoAttack`).
+        let benchmark = cps_models::vsc().unwrap();
+        let config = SynthesisConfig {
+            monitor_encoding: crate::MonitorEncoding::ConjunctiveAfter(5),
+            ..SynthesisConfig::default()
+        };
+        assert_eq!(
+            synthesize_static_threshold(&benchmark, config, 8),
+            Err(SynthesisError::NoAttack)
+        );
     }
 }

@@ -30,6 +30,12 @@ pub enum SynthesisError {
     /// The warm solver is discarded so the next run rebuilds it from the
     /// symbolic unrolling; the payload's message is preserved for diagnosis.
     Panicked(String),
+    /// The undefended loop admits no stealthy attack, so there is no attack
+    /// to bound and nothing to synthesise. Returned by
+    /// [`synthesize_static_threshold`](crate::synthesize_static_threshold)
+    /// instead of a vacuous `+∞` threshold; the CEGIS loops report the same
+    /// outcome as [`ConvergenceStatus::NoAttack`].
+    NoAttack,
 }
 
 impl fmt::Display for SynthesisError {
@@ -42,6 +48,10 @@ impl fmt::Display for SynthesisError {
                     "synthesis run panicked (solver state discarded): {message}"
                 )
             }
+            SynthesisError::NoAttack => write!(
+                f,
+                "the undefended loop admits no stealthy attack: nothing to synthesise"
+            ),
         }
     }
 }

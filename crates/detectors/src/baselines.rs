@@ -143,25 +143,12 @@ impl CusumDetector {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
-
-    /// The CUSUM statistic trajectory for a trace (useful for plotting).
-    pub fn statistic(&self, trace: &Trace) -> Vec<f64> {
-        let mut s = 0.0;
-        trace
-            .residue_norms(self.norm)
-            .into_iter()
-            .map(|z| {
-                s = f64::max(0.0, s + z - self.drift);
-                s
-            })
-            .collect()
-    }
 }
 
 impl Detector for CusumDetector {
     fn first_alarm(&self, trace: &Trace) -> Option<usize> {
-        // Streaming fold of the CUSUM recursion — the same arithmetic as
-        // `statistic`, without materialising the trajectory.
+        // The CUSUM recursion folded over the trace's residue norms; the
+        // same arithmetic as `CusumScan::step`, written independently of it.
         let mut s = 0.0;
         trace.residue_norms_iter(self.norm).position(|z| {
             s = f64::max(0.0, s + z - self.drift);
@@ -252,16 +239,15 @@ mod tests {
             detector.first_alarm(&trace_with_residues(&[0.3; 10])),
             Some(2)
         );
-    }
-
-    #[test]
-    fn cusum_statistic_resets_after_quiet_period() {
-        let detector = CusumDetector::new(0.2, 10.0, ResidueNorm::Linf);
-        let stats = detector.statistic(&trace_with_residues(&[0.5, 0.5, 0.0, 0.0, 0.0]));
-        assert!(stats[1] > stats[0] - 1e-12);
-        assert!(
-            stats[4] < stats[1],
-            "statistic should decay in quiet periods"
+        // The statistic decays in quiet periods: two 0.4 bursts would reach
+        // 0.6 back to back, but a quiet stretch between them resets it.
+        assert_eq!(
+            detector.first_alarm(&trace_with_residues(&[0.4, 0.4, 0.4])),
+            Some(1)
+        );
+        assert_eq!(
+            detector.first_alarm(&trace_with_residues(&[0.4, 0.0, 0.0, 0.0, 0.4])),
+            None
         );
     }
 

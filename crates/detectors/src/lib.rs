@@ -16,8 +16,16 @@
 //!   used as additional comparison points,
 //! - [`Detector`] — the common detection interface over closed-loop
 //!   [`Trace`]s,
-//! - [`false_alarm_rate`] / [`detection_rate`] — Monte-Carlo evaluation
-//!   helpers used by the FAR experiment (§IV of the paper).
+//! - [`AlarmScan`] — the streaming per-instant evaluator behind
+//!   [`Detector::scanner`], which the FAR experiment (§IV of the paper)
+//!   runs inside its rollouts,
+//! - [`false_alarm_rate`] — the materialising Monte-Carlo reference the
+//!   streaming FAR experiment is tested against.
+//!
+//! Each detector therefore has exactly two evaluation paths: the streaming
+//! scanner that runs in production and the hand-written
+//! [`Detector::first_alarm`] over a whole [`Trace`] that tests compare it
+//! with (`tests/scan_differential.rs`).
 //!
 //! # Example
 //!
@@ -37,7 +45,7 @@ mod evaluation;
 mod threshold;
 
 pub use baselines::{Chi2Detector, CusumDetector};
-pub use evaluation::{detection_rate, false_alarm_rate, false_alarm_rate_batched};
+pub use evaluation::false_alarm_rate;
 pub use threshold::{ThresholdDetector, ThresholdError, ThresholdSpec};
 
 use cps_control::Trace;
@@ -46,12 +54,16 @@ use cps_linalg::Vector;
 /// Common interface of residue-based detectors.
 ///
 /// `Sync` is a supertrait so that `&dyn Detector` references can be shared
-/// across the batched parallel evaluation lanes ([`false_alarm_rate_batched`]
-/// and the `FarExperiment` streaming engine); detectors are plain parameter
-/// structs, so the bound costs implementations nothing.
+/// across the parallel lanes of the `FarExperiment` streaming engine, the
+/// only code that fans detector evaluation out over threads; detectors are
+/// plain parameter structs, so the bound costs implementations nothing.
 pub trait Detector: Sync {
     /// Returns the first sampling instant at which the detector raises an
     /// alarm on the given trace, or `None` when the trace passes undetected.
+    ///
+    /// Written by hand for every detector, independently of its
+    /// [`Detector::scanner`], so that it can serve as the scanner's
+    /// differential reference.
     fn first_alarm(&self, trace: &Trace) -> Option<usize>;
 
     /// Convenience wrapper: `true` when the detector alarms anywhere.
@@ -66,7 +78,8 @@ pub trait Detector: Sync {
     /// many traces can allocate once, interleave all detectors per instant
     /// and stop a trace early — the [`FarExperiment`](https://docs.rs/secure-cps)
     /// hot loop. Verdicts must match [`Detector::first_alarm`] exactly
-    /// (asserted by the `scanner_agrees_with_first_alarm` differential test).
+    /// (asserted by the `*_scanner_agrees_with_first_alarm` differential
+    /// tests in `tests/scan_differential.rs`).
     fn scanner(&self) -> Box<dyn AlarmScan + '_>;
 }
 

@@ -146,7 +146,10 @@ impl ThresholdSpec {
 
     /// Returns `true` when every instant has the same threshold.
     pub fn is_static(&self) -> bool {
-        self.values.windows(2).all(|w| (w[0] - w[1]).abs() <= 1e-12)
+        // Exact equality first: `∞ − ∞` is NaN, and `+∞` is a legal value.
+        self.values
+            .windows(2)
+            .all(|w| w[0] == w[1] || (w[0] - w[1]).abs() <= 1e-12)
     }
 
     /// Largest stored threshold value.
@@ -270,6 +273,9 @@ mod tests {
         // +∞ is a legitimate "no check at this instant" marker.
         let spec = ThresholdSpec::try_variable(vec![f64::INFINITY, 0.3]).unwrap();
         assert_eq!(spec.value_at(0), f64::INFINITY);
+        assert!(!spec.is_static());
+        let spec = ThresholdSpec::try_constant(f64::INFINITY, 3).unwrap();
+        assert!(spec.is_static(), "a constant +∞ spec is static");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! constraints **twice**:
 //!
 //! - at *runtime*, to decide whether a simulated trace trips the monitors
-//!   ([`MonitorSuite::evaluate`]), and
+//!   ([`MonitorSuite::scanner`] streams the verdict one measurement at a
+//!   time; [`MonitorSuite::evaluate`] is its materialising reference), and
 //! - *symbolically*, as SMT formulas over the per-step measurement
 //!   expressions, to restrict the attacker to monitor-stealthy injections
 //!   ([`MonitorSuite::encode_stealth`]).

@@ -37,6 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = PivotSynthesizer::new(&benchmark, config)
         .with_max_rounds(400)
         .run()?;
+    assert!(
+        report.status.is_converged(),
+        "pivot-based synthesis did not converge: {:?}",
+        report.status
+    );
     println!(
         "pivot-based synthesis: converged={} after {} rounds",
         report.converged, report.rounds

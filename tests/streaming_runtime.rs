@@ -1,8 +1,9 @@
 //! Differential suite for the streaming detection runtime: the small-vector
-//! linalg backend, the allocation-free rollout engine and the batched
-//! parallel FAR lanes must all be **bit-identical** to their materialising /
-//! sequential references, on every plant in the zoo, attacked and
-//! attack-free, across a seed matrix.
+//! linalg backend, the allocation-free rollout engine, the monitor scanner
+//! and the parallel FAR lanes must all be **bit-identical** to their
+//! materialising references (`simulate_reference`, `MonitorSuite::evaluate`,
+//! `false_alarm_rate` over `FarExperiment::noise_traces`), on every plant in
+//! the zoo, attacked and attack-free, across a seed matrix.
 //!
 //! `CPS_SMT_SEED` (the same knob the SMT differential suites use) shifts
 //! every noise seed in the matrix, so each CI seed lane replays a disjoint
@@ -10,8 +11,7 @@
 
 use cps_control::{ClosedLoop, NoiseModel, ResidueNorm, SensorAttack, StepBuffers, Trace};
 use cps_detectors::{
-    false_alarm_rate, false_alarm_rate_batched, Chi2Detector, CusumDetector, Detector,
-    ThresholdDetector, ThresholdSpec,
+    false_alarm_rate, Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec,
 };
 use cps_linalg::Vector;
 use cps_models::Benchmark;
@@ -151,9 +151,9 @@ fn zoo_detectors(benchmark: &Benchmark) -> (ThresholdDetector, Chi2Detector, Cus
     )
 }
 
-/// The streaming batched-lane `FarExperiment::run` must report bit-identical
-/// rates for every lane count, and those rates must equal the per-detector
-/// rates over the materialised kept population.
+/// The streaming `FarExperiment::run` must report bit-identical rates for
+/// every lane count, and those rates must equal the per-detector rates over
+/// the materialised kept population.
 #[test]
 fn far_lanes_are_bit_identical_across_widths_and_to_materialised_rates() {
     for benchmark in cps_models::all_benchmarks().expect("models build") {
@@ -185,22 +185,13 @@ fn far_lanes_are_bit_identical_across_widths_and_to_materialised_rates() {
                     "{} seed={seed} {name}: streaming rate differs",
                     benchmark.name
                 );
-                for lanes in [1, 2, 3, 8, 64] {
-                    let batched = false_alarm_rate_batched(detector, &kept, lanes);
-                    assert_eq!(
-                        batched.to_bits(),
-                        reference.to_bits(),
-                        "{} seed={seed} {name}: {lanes}-lane batched rate differs",
-                        benchmark.name
-                    );
-                }
             }
         }
     }
 }
 
-/// The streaming monitor scanner must agree with the slice-based
-/// `MonitorSuite::first_alarm` on real simulated measurement streams —
+/// The streaming monitor scanner must agree with the materialising
+/// `MonitorSuite::evaluate` on real simulated measurement streams —
 /// including attacked ones, which is where monitors actually fire.
 #[test]
 fn monitor_scanner_matches_first_alarm_on_simulated_streams() {
@@ -215,7 +206,7 @@ fn monitor_scanner_matches_first_alarm_on_simulated_streams() {
                     attack,
                     seed,
                 );
-                let reference = benchmark.monitors.first_alarm(trace.measurements());
+                let reference = benchmark.monitors.evaluate(trace.measurements()).alarm_at;
                 let mut scan = benchmark.monitors.scanner();
                 let streamed = trace.measurements().iter().position(|y| scan.step(y));
                 assert_eq!(

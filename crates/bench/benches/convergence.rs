@@ -22,7 +22,7 @@ fn regenerate() {
         "convergence",
         &format!(
             "benchmark={}: pivot rounds={} (converged={}), stepwise rounds={} (converged={}) — paper: 56 vs 37",
-            benchmark.name, pivot.rounds, pivot.converged, stepwise.rounds, stepwise.converged
+            benchmark.name, pivot.rounds, pivot.status.is_converged(), stepwise.rounds, stepwise.status.is_converged()
         ),
     );
 }

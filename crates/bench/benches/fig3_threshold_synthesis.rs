@@ -20,7 +20,11 @@ fn regenerate() {
         "fig3",
         &format!(
             "benchmark={}, pivot converged={} rounds={}, stepwise converged={} rounds={}",
-            benchmark.name, pivot.converged, pivot.rounds, stepwise.converged, stepwise.rounds
+            benchmark.name,
+            pivot.status.is_converged(),
+            pivot.rounds,
+            stepwise.status.is_converged(),
+            stepwise.rounds
         ),
     );
     print_row("fig3", "k, pivot_threshold, stepwise_threshold");

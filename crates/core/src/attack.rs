@@ -35,11 +35,6 @@ pub enum MonitorEncoding {
 /// Configuration of the attack-synthesis query (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisConfig {
-    /// Residue norm used when reporting the synthesized attack's residues and
-    /// when the CEGIS algorithms pick pivots. The *encoding* always bounds
-    /// each residue component individually (an ∞-norm detector), which keeps
-    /// the query linear; see `ARCHITECTURE.md` ("Fidelity notes") for the substitution note.
-    pub residue_norm: ResidueNorm,
     /// Optional horizon override (use a smaller `T` than the benchmark's for
     /// faster exploratory queries).
     pub horizon_override: Option<usize>,
@@ -65,20 +60,22 @@ pub struct SynthesisConfig {
     /// model fidelity; `UNSAT` certificates then cover attackers that keep
     /// this clearance.
     pub monitor_margin: f64,
-    /// Wall-clock budget for a **whole** CEGIS run (the paper's 12-hour Z3
-    /// timeout, made explicit). `None` (the default) leaves the run
-    /// unbounded. When set, [`PivotSynthesizer::run`](crate::PivotSynthesizer)
-    /// and [`StepwiseSynthesizer::run`](crate::StepwiseSynthesizer) convert it
-    /// into an absolute deadline at run start; an interrupted run degrades
-    /// gracefully, returning the best-so-far thresholds with
-    /// [`ConvergenceStatus::Interrupted`](crate::ConvergenceStatus).
+    /// Wall-clock budget for a **whole** synthesis run (the paper's 12-hour
+    /// Z3 timeout, made explicit). `None` (the default) leaves the run
+    /// unbounded. When set, [`PivotSynthesizer::run`](crate::PivotSynthesizer),
+    /// [`StepwiseSynthesizer::run`](crate::StepwiseSynthesizer) and
+    /// [`synthesize_static_threshold`](crate::synthesize_static_threshold)
+    /// convert it into an absolute deadline at run start. An interrupted
+    /// CEGIS run degrades gracefully, returning the best-so-far thresholds
+    /// with [`ConvergenceStatus::Interrupted`](crate::ConvergenceStatus); an
+    /// interrupted bisection returns
+    /// [`SynthesisError::Solver`](crate::SynthesisError::Solver).
     pub timeout: Option<Duration>,
 }
 
 impl Default for SynthesisConfig {
     fn default() -> Self {
         Self {
-            residue_norm: ResidueNorm::Linf,
             horizon_override: None,
             convergence_margin: 0.05,
             monitor_encoding: MonitorEncoding::Exact,
@@ -105,7 +102,8 @@ pub struct SynthesizedAttack {
     pub attack: SensorAttack,
     /// Noise-free closed-loop rollout under the attack.
     pub trace: Trace,
-    /// Residue norms `‖z_k‖` along that rollout.
+    /// Residue ∞-norms `‖z_k‖∞` along that rollout, the norm the encoding
+    /// bounds (see `ARCHITECTURE.md`, "Fidelity notes").
     pub residue_norms: Vec<f64>,
 }
 
@@ -261,7 +259,7 @@ impl<'a> AttackSynthesizer<'a> {
             CheckResult::Sat(model) => {
                 let attack = self.attack_from_model(model.values());
                 let trace = self.simulate(&attack);
-                let residue_norms = trace.residue_norms(self.config.residue_norm);
+                let residue_norms = trace.residue_norms(ResidueNorm::Linf);
                 Ok(Some(SynthesizedAttack {
                     attack,
                     trace,

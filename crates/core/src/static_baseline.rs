@@ -1,6 +1,7 @@
 use cps_detectors::ThresholdSpec;
 use cps_models::Benchmark;
 
+use crate::synthesis::guarded;
 use crate::{AttackSynthesizer, SynthesisConfig, SynthesisError};
 
 /// Synthesises the *provably safe static* threshold the paper compares its
@@ -22,47 +23,52 @@ use crate::{AttackSynthesizer, SynthesisConfig, SynthesisError};
 ///
 /// [`SynthesisError::NoAttack`] when the undefended loop admits no stealthy
 /// attack (every threshold, `+∞` included, would be "safe", so there is no
-/// baseline to report); otherwise propagates solver failures and budget
-/// exhaustion from the Algorithm 1 queries.
+/// baseline to report); [`SynthesisError::Solver`] for a failed Algorithm 1
+/// query, including one interrupted by [`SynthesisConfig::timeout`] (a
+/// bisection cut short has no safe bound to report); and
+/// [`SynthesisError::Panicked`] for a panic caught at the same run boundary
+/// as the CEGIS loops.
 pub fn synthesize_static_threshold(
     benchmark: &Benchmark,
     config: SynthesisConfig,
     bisection_steps: usize,
 ) -> Result<(ThresholdSpec, usize), SynthesisError> {
     let synthesizer = AttackSynthesizer::new(benchmark, config);
-    let horizon = synthesizer.horizon();
-    let mut queries = 0;
+    guarded(&synthesizer, || {
+        let horizon = synthesizer.horizon();
+        let mut queries = 0;
 
-    // Upper end of the bracket: the undefended attack's residue peak.
-    queries += 1;
-    let Some(initial) = synthesizer.synthesize(None)? else {
-        return Err(SynthesisError::NoAttack);
-    };
-    let (_, peak) = initial.pivot();
-    let mut lo = 0.0_f64; // threshold 0 alarms on everything: trivially safe
-    let mut hi = (2.0 * peak).max(1e-6);
-
-    // Check whether the upper end happens to be safe already.
-    queries += 1;
-    let hi_partial: Vec<Option<f64>> = vec![Some(hi); horizon];
-    if synthesizer.synthesize(Some(&hi_partial))?.is_none() {
-        return Ok((ThresholdSpec::constant(hi, horizon), queries));
-    }
-
-    for _ in 0..bisection_steps {
-        let mid = 0.5 * (lo + hi);
-        let partial: Vec<Option<f64>> = vec![Some(mid); horizon];
+        // Upper end of the bracket: the undefended attack's residue peak.
         queries += 1;
-        if synthesizer.synthesize(Some(&partial))?.is_none() {
-            // mid is safe: try a larger (lower-FAR) threshold.
-            lo = mid;
-        } else {
-            // an attack slips below mid: must tighten.
-            hi = mid;
-        }
-    }
+        let Some(initial) = synthesizer.synthesize(None)? else {
+            return Err(SynthesisError::NoAttack);
+        };
+        let (_, peak) = initial.pivot();
+        let mut lo = 0.0_f64; // threshold 0 alarms on everything: trivially safe
+        let mut hi = (2.0 * peak).max(1e-6);
 
-    Ok((ThresholdSpec::constant(lo, horizon), queries))
+        // Check whether the upper end happens to be safe already.
+        queries += 1;
+        let hi_partial: Vec<Option<f64>> = vec![Some(hi); horizon];
+        if synthesizer.synthesize(Some(&hi_partial))?.is_none() {
+            return Ok((ThresholdSpec::constant(hi, horizon), queries));
+        }
+
+        for _ in 0..bisection_steps {
+            let mid = 0.5 * (lo + hi);
+            let partial: Vec<Option<f64>> = vec![Some(mid); horizon];
+            queries += 1;
+            if synthesizer.synthesize(Some(&partial))?.is_none() {
+                // mid is safe: try a larger (lower-FAR) threshold.
+                lo = mid;
+            } else {
+                // an attack slips below mid: must tighten.
+                hi = mid;
+            }
+        }
+
+        Ok((ThresholdSpec::constant(lo, horizon), queries))
+    })
 }
 
 #[cfg(test)]
@@ -96,6 +102,24 @@ mod tests {
         // More bisection steps can only move the safe threshold upwards
         // (towards the true supremum), never below the coarse estimate.
         assert!(fine.value_at(0) + 1e-12 >= coarse.value_at(0));
+    }
+
+    #[test]
+    fn timeout_interrupts_the_bisection() {
+        let benchmark = cps_models::trajectory_tracking().unwrap();
+        let config = SynthesisConfig {
+            timeout: Some(std::time::Duration::ZERO),
+            ..SynthesisConfig::default()
+        };
+        match synthesize_static_threshold(&benchmark, config, 8) {
+            Err(SynthesisError::Solver(err)) => {
+                assert_eq!(
+                    err.interrupt_reason(),
+                    Some(cps_smt::InterruptReason::Deadline)
+                );
+            }
+            other => panic!("a zero timeout must interrupt the first query, got {other:?}"),
+        }
     }
 
     #[test]

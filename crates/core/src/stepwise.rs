@@ -1,15 +1,7 @@
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use cps_models::Benchmark;
-use cps_smt::SolverStats;
 
-use crate::synthesis::{
-    arm_budget, cegis_query, panic_message, QueryOutcome, SynthesisOutcome, SynthesisReport,
-    MIN_THRESHOLD,
-};
-use crate::{
-    AttackSynthesizer, ConvergenceStatus, PartialThreshold, SynthesisConfig, SynthesisError,
-};
+use crate::synthesis::{run_cegis, shrink, Refinement, SynthesisOutcome, MIN_THRESHOLD};
+use crate::{AttackSynthesizer, PartialThreshold, SynthesisConfig, SynthesizedAttack};
 
 /// Algorithm 3 — step-wise threshold synthesis.
 ///
@@ -62,211 +54,70 @@ impl<'a> StepwiseSynthesizer<'a> {
         &self.synthesizer
     }
 
-    /// Applies the convergence margin when installing a step at a
-    /// counterexample residue value (see
-    /// [`SynthesisConfig::convergence_margin`]).
-    fn shrink(&self, value: f64) -> f64 {
-        (value * (1.0 - self.synthesizer.config().convergence_margin)).max(MIN_THRESHOLD)
-    }
-
     /// Runs the CEGIS loop.
     ///
     /// Degrades and recovers exactly like
     /// [`PivotSynthesizer::run`](crate::PivotSynthesizer::run): a resource
-    /// interruption ends the run with [`ConvergenceStatus::Interrupted`] and
-    /// the best-so-far staircase, and a panic is caught at this boundary,
+    /// interruption ends the run with
+    /// [`ConvergenceStatus::Interrupted`](crate::ConvergenceStatus::Interrupted)
+    /// and the best-so-far staircase, and a panic is caught at this boundary,
     /// discards the warm solver and surfaces as
-    /// [`SynthesisError::Panicked`].
+    /// [`SynthesisError::Panicked`](crate::SynthesisError::Panicked).
     ///
     /// # Errors
     ///
-    /// [`SynthesisError::Solver`] for non-interruption solver failures and
-    /// [`SynthesisError::Panicked`] for a caught panic.
+    /// [`SynthesisError::Solver`](crate::SynthesisError::Solver) for
+    /// non-interruption solver failures and
+    /// [`SynthesisError::Panicked`](crate::SynthesisError::Panicked) for a
+    /// caught panic.
     pub fn run(&self) -> SynthesisOutcome {
-        let saved = self.synthesizer.budget();
-        self.synthesizer
-            .set_budget(arm_budget(saved, self.synthesizer.config().timeout));
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_inner()));
-        self.synthesizer.set_budget(saved);
-        match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                self.synthesizer.reset_warm_solver();
-                Err(SynthesisError::Panicked(panic_message(payload)))
-            }
-        }
+        run_cegis(&self.synthesizer, self.max_rounds, self)
+    }
+}
+
+impl Refinement for StepwiseSynthesizer<'_> {
+    /// First step: cover the prefix up to the residue peak.
+    fn seed(&self, th: &mut PartialThreshold, attack: &SynthesizedAttack) {
+        let (pivot, value) = attack.pivot();
+        th[..=pivot].fill(Some(shrink(&self.synthesizer, value)));
     }
 
-    fn run_inner(&self) -> SynthesisOutcome {
-        let horizon = self.synthesizer.horizon();
-        let mut th: PartialThreshold = vec![None; horizon];
-        let mut rounds = 0;
-        let mut attacks = 0;
-        let mut stats = SolverStats::default();
-        let mut round_stats = Vec::new();
-
-        let report = |partial: PartialThreshold,
-                      rounds: usize,
-                      attacks: usize,
-                      status: ConvergenceStatus,
-                      stats: SolverStats,
-                      round_stats: Vec<SolverStats>| {
-            Ok(SynthesisReport {
-                partial,
-                rounds,
-                attacks_eliminated: attacks,
-                converged: status.is_converged(),
-                status,
-                solver_stats: stats,
-                round_stats,
-            })
-        };
-
-        // Can the monitors alone be bypassed?
-        let initial = match cegis_query(&self.synthesizer, None, &mut stats, &mut round_stats)? {
-            QueryOutcome::Decided(result) => result,
-            QueryOutcome::Interrupted(reason) => {
-                let status = ConvergenceStatus::Interrupted { round: 0, reason };
-                return report(th, rounds, attacks, status, stats, round_stats);
-            }
-        };
-        let Some(initial) = initial else {
-            return report(
-                th,
-                rounds,
-                attacks,
-                ConvergenceStatus::NoAttack,
-                stats,
-                round_stats,
-            );
-        };
-        attacks += 1;
-
-        // First step: cover the prefix up to the residue peak.
-        let (pivot, value) = initial.pivot();
-        let first_height = self.shrink(value);
-        for entry in th.iter_mut().take(pivot + 1) {
-            *entry = Some(first_height);
-        }
-        let mut last_covered = pivot;
-
-        // Phase 1: extend the staircase until it covers the whole horizon.
-        while last_covered + 1 < horizon {
-            rounds += 1;
-            if rounds > self.max_rounds {
-                return report(
-                    th,
-                    rounds - 1,
-                    attacks,
-                    ConvergenceStatus::RoundLimit,
-                    stats,
-                    round_stats,
-                );
-            }
-            let attack =
-                match cegis_query(&self.synthesizer, Some(&th), &mut stats, &mut round_stats)? {
-                    QueryOutcome::Decided(result) => result,
-                    QueryOutcome::Interrupted(reason) => {
-                        let status = ConvergenceStatus::Interrupted {
-                            round: rounds,
-                            reason,
-                        };
-                        return report(th, rounds - 1, attacks, status, stats, round_stats);
-                    }
-                };
-            let Some(attack) = attack else {
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Converged,
-                    stats,
-                    round_stats,
-                );
-            };
-            attacks += 1;
-            let z = &attack.residue_norms;
+    /// Phase 1 while the staircase is short of the horizon, phase 2 after.
+    fn refine(&self, th: &mut PartialThreshold, z: &[f64]) -> bool {
+        let horizon = th.len();
+        let last_covered = th
+            .iter()
+            .rposition(Option::is_some)
+            .expect("the seed covers a prefix");
+        if last_covered + 1 < horizon {
+            // Phase 1: the new step edge is the largest residue after the
+            // covered prefix, clamped to the previous step height to keep
+            // the staircase monotonically decreasing.
             let current_height = th[last_covered].expect("covered prefix has a value");
-            // New step edge: the largest residue after the covered prefix,
-            // clamped to the previous step height to keep the staircase
-            // monotonically decreasing.
             let k = ((last_covered + 1)..horizon)
                 .max_by(|a, b| z[*a].total_cmp(&z[*b]))
                 .expect("suffix is non-empty");
-            let height = self.shrink(z[k]).min(current_height);
-            for entry in th.iter_mut().take(k + 1).skip(last_covered + 1) {
-                *entry = Some(height);
-            }
-            last_covered = k;
+            let height = shrink(&self.synthesizer, z[k]).min(current_height);
+            th[last_covered + 1..=k].fill(Some(height));
+            return true;
         }
-
-        // Phase 2: lower minimum-area portions of the staircase until no
-        // stealthy attack remains.
-        loop {
-            rounds += 1;
-            if rounds > self.max_rounds {
-                return report(
-                    th,
-                    rounds - 1,
-                    attacks,
-                    ConvergenceStatus::RoundLimit,
-                    stats,
-                    round_stats,
-                );
-            }
-            let attack =
-                match cegis_query(&self.synthesizer, Some(&th), &mut stats, &mut round_stats)? {
-                    QueryOutcome::Decided(result) => result,
-                    QueryOutcome::Interrupted(reason) => {
-                        let status = ConvergenceStatus::Interrupted {
-                            round: rounds,
-                            reason,
-                        };
-                        return report(th, rounds - 1, attacks, status, stats, round_stats);
-                    }
-                };
-            let Some(attack) = attack else {
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Converged,
-                    stats,
-                    round_stats,
-                );
-            };
-            attacks += 1;
-            let z = &attack.residue_norms;
-            let cut = Self::min_area_cut(&th, z);
-            match cut {
-                Some((k, level)) => {
-                    let level = self.shrink(level);
-                    for entry in th.iter_mut().skip(k) {
-                        match entry {
-                            Some(v) if *v > level => *entry = Some(level),
-                            None => *entry = Some(level),
-                            _ => {}
-                        }
-                    }
-                }
-                None => {
-                    // Every residue of the counterexample is either already
-                    // above the staircase (impossible for checked instants) or
-                    // numerically zero: no cut can exclude it. Report the
-                    // partial result instead of looping forever.
-                    return report(
-                        th,
-                        rounds,
-                        attacks,
-                        ConvergenceStatus::Stalled,
-                        stats,
-                        round_stats,
-                    );
-                }
+        // Phase 2: lower the minimum-area portion of the staircase. No cut
+        // exists when every residue is already above the staircase
+        // (impossible for checked instants) or numerically zero.
+        let Some((k, level)) = Self::min_area_cut(th, z) else {
+            return false;
+        };
+        let level = shrink(&self.synthesizer, level);
+        for entry in &mut th[k..] {
+            if entry.is_none_or(|v| v > level) {
+                *entry = Some(level);
             }
         }
+        true
     }
+}
 
+impl StepwiseSynthesizer<'_> {
     /// The paper's `MINAREARECTANGLE`: among all instants whose residue lies
     /// strictly below the current threshold, pick the one where lowering the
     /// threshold suffix to that residue removes the least area. Returns the
@@ -315,7 +166,7 @@ mod tests {
         let benchmark = cps_models::trajectory_tracking().unwrap();
         let synthesizer = StepwiseSynthesizer::new(&benchmark, test_config()).with_max_rounds(400);
         let report = synthesizer.run().expect("synthesis runs");
-        assert!(report.converged, "synthesis should converge");
+        assert!(report.status.is_converged(), "synthesis should converge");
         assert!(report.is_monotone_decreasing());
 
         // The synthesised staircase blocks every stealthy attack.
@@ -339,7 +190,7 @@ mod tests {
         // Once a threshold is set, every later instant is also set (staircase
         // covers a prefix-contiguous region growing to the full horizon, or
         // the algorithm converged early).
-        if report.converged {
+        if report.status.is_converged() {
             let first_set = report.partial.iter().position(|v| v.is_some());
             if let Some(first) = first_set {
                 assert!(
@@ -360,6 +211,18 @@ mod tests {
         let (k, level) = StepwiseSynthesizer::min_area_cut(&th, &z).unwrap();
         assert_eq!(k, 3);
         assert!((level - 0.48).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_zero_counterexample_stalls_the_full_staircase() {
+        let benchmark = cps_models::trajectory_tracking().unwrap();
+        let synthesizer = StepwiseSynthesizer::new(&benchmark, test_config());
+        let horizon = synthesizer.attack_synthesizer().horizon();
+        let staircase: PartialThreshold =
+            (0..horizon).map(|k| Some(1.0 / (k + 1) as f64)).collect();
+        let mut th = staircase.clone();
+        assert!(!synthesizer.refine(&mut th, &vec![0.0; horizon]));
+        assert_eq!(th, staircase);
     }
 
     #[test]

@@ -2,11 +2,11 @@ use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cps_detectors::ThresholdSpec;
 use cps_models::Benchmark;
-use cps_smt::{Budget, InterruptReason, SmtError, SolverStats};
+use cps_smt::{InterruptReason, SmtError, SolverStats};
 
 use crate::{
     partial_to_spec, AttackSynthesizer, PartialThreshold, SynthesisConfig, SynthesizedAttack,
@@ -104,63 +104,6 @@ impl ConvergenceStatus {
     }
 }
 
-/// Converts a run-level [`SynthesisConfig::timeout`] into an absolute
-/// deadline on `budget`, keeping the earlier deadline when both are set.
-pub(crate) fn arm_budget(budget: Budget, timeout: Option<Duration>) -> Budget {
-    match timeout {
-        Some(timeout) => {
-            let deadline = Instant::now() + timeout;
-            let deadline = budget.deadline().map_or(deadline, |d| d.min(deadline));
-            budget.with_deadline(deadline)
-        }
-        None => budget,
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// One Algorithm 1 query as seen by the CEGIS loops: a decided verdict, or a
-/// typed interruption the loop absorbs into a graceful partial report.
-pub(crate) enum QueryOutcome {
-    /// The query was decided: a counterexample attack, or `None` for an
-    /// `UNSAT` certificate.
-    Decided(Option<SynthesizedAttack>),
-    /// The query was interrupted before a verdict.
-    Interrupted(InterruptReason),
-}
-
-/// Runs one Algorithm 1 query, folds its statistics into the running totals
-/// and the per-round log, and converts a typed interruption into
-/// [`QueryOutcome::Interrupted`]. Any other solver error propagates.
-pub(crate) fn cegis_query(
-    synthesizer: &AttackSynthesizer<'_>,
-    threshold: Option<&[Option<f64>]>,
-    stats: &mut SolverStats,
-    round_stats: &mut Vec<SolverStats>,
-) -> Result<QueryOutcome, SynthesisError> {
-    let result = synthesizer.synthesize(threshold);
-    // The per-query statistics are recorded even for an interrupted query
-    // (the solver sets them before unwinding), so interrupted work is
-    // attributable rather than silently discarded.
-    let last = synthesizer.last_solver_stats();
-    stats.absorb(&last);
-    round_stats.push(last);
-    match result {
-        Ok(attack) => Ok(QueryOutcome::Decided(attack)),
-        Err(SmtError::Interrupted { reason, .. }) => Ok(QueryOutcome::Interrupted(reason)),
-        Err(err) => Err(err.into()),
-    }
-}
-
 /// Result of a threshold-synthesis run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisReport {
@@ -170,16 +113,11 @@ pub struct SynthesisReport {
     pub rounds: usize,
     /// Number of counterexample attacks that were found and eliminated.
     pub attacks_eliminated: usize,
-    /// `true` when a threshold round ended on an **UNSAT certificate** at the
-    /// full analysis horizon: a detector was synthesised and no stealthy
-    /// attack remains. `false` for a vacuous run whose undefended loop
-    /// already admits no attack. Equivalent to `status.is_converged()`; kept
-    /// as a field for ergonomic filtering.
-    pub converged: bool,
     /// How the run ended: certificate, no attack on the undefended loop,
     /// round limit, stall, or a typed interruption with the round it hit. A
     /// non-converged report still carries the best-so-far thresholds of
-    /// every completed round.
+    /// every completed round. Only [`ConvergenceStatus::Converged`] means a
+    /// detector was synthesised and no stealthy attack remains.
     pub status: ConvergenceStatus,
     /// Solver statistics accumulated over every Algorithm 1 query of the run
     /// (including the certifying final UNSAT query), for perf attribution of
@@ -208,6 +146,125 @@ impl SynthesisReport {
 
 /// Convenience alias for the result of a synthesis run.
 pub type SynthesisOutcome = Result<SynthesisReport, SynthesisError>;
+
+/// The run boundary every synthesis entry point shares: arms
+/// [`SynthesisConfig::timeout`] as an absolute deadline on `synthesizer`'s
+/// budget (keeping an earlier installed deadline), restores the previous
+/// budget when `run` returns, and turns a panic inside `run` into
+/// [`SynthesisError::Panicked`] after discarding the warm solver, so the next
+/// run rebuilds it from the symbolic unrolling.
+pub(crate) fn guarded<T>(
+    synthesizer: &AttackSynthesizer<'_>,
+    run: impl FnOnce() -> Result<T, SynthesisError>,
+) -> Result<T, SynthesisError> {
+    let saved = synthesizer.budget();
+    let armed = match synthesizer.config().timeout {
+        Some(timeout) => {
+            let deadline = Instant::now() + timeout;
+            saved.with_deadline(saved.deadline().map_or(deadline, |d| d.min(deadline)))
+        }
+        None => saved,
+    };
+    synthesizer.set_budget(armed);
+    let outcome = catch_unwind(AssertUnwindSafe(run));
+    synthesizer.set_budget(saved);
+    outcome.unwrap_or_else(|payload| {
+        synthesizer.reset_warm_solver();
+        Err(SynthesisError::Panicked(panic_message(payload)))
+    })
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Installs a threshold at a counterexample residue value, less the
+/// [`SynthesisConfig::convergence_margin`] and never below [`MIN_THRESHOLD`].
+pub(crate) fn shrink(synthesizer: &AttackSynthesizer<'_>, value: f64) -> f64 {
+    (value * (1.0 - synthesizer.config().convergence_margin)).max(MIN_THRESHOLD)
+}
+
+/// How a counterexample moves the threshold vector — the only part of the
+/// CEGIS loop in which Algorithms 2 and 3 differ.
+pub(crate) trait Refinement {
+    /// Installs the first thresholds from the undefended loop's attack.
+    fn seed(&self, th: &mut PartialThreshold, attack: &SynthesizedAttack);
+
+    /// Tightens `th` so it excludes a counterexample with residue norms `z`.
+    /// Returns `false`, leaving `th` unchanged, when no adjustment can.
+    fn refine(&self, th: &mut PartialThreshold, z: &[f64]) -> bool;
+}
+
+/// The CEGIS loop of Algorithms 2 and 3, inside the [`guarded`] run boundary.
+///
+/// Round 0 queries the undefended loop and hands its attack to
+/// [`Refinement::seed`]; every later round queries under the current
+/// thresholds and hands the counterexample to [`Refinement::refine`], until
+/// an `UNSAT` certificate ([`ConvergenceStatus::Converged`]), the round
+/// limit, a stall or a typed interruption ends the run. Every query, the
+/// interrupted one included, contributes its statistics to the report.
+pub(crate) fn run_cegis(
+    synthesizer: &AttackSynthesizer<'_>,
+    max_rounds: usize,
+    policy: &impl Refinement,
+) -> SynthesisOutcome {
+    guarded(synthesizer, || {
+        let mut th: PartialThreshold = vec![None; synthesizer.horizon()];
+        let mut rounds = 0;
+        let mut attacks = 0;
+        let mut solver_stats = SolverStats::default();
+        let mut round_stats = Vec::new();
+        let mut round = 0;
+        let status = loop {
+            if round > max_rounds {
+                break ConvergenceStatus::RoundLimit;
+            }
+            let result = synthesizer.synthesize((round > 0).then_some(th.as_slice()));
+            // The solver records the statistics of an interrupted query too,
+            // so interrupted work is attributable rather than discarded.
+            let last = synthesizer.last_solver_stats();
+            solver_stats.absorb(&last);
+            round_stats.push(last);
+            let attack = match result {
+                Ok(attack) => attack,
+                Err(SmtError::Interrupted { reason, .. }) => {
+                    break ConvergenceStatus::Interrupted { round, reason };
+                }
+                Err(err) => return Err(err.into()),
+            };
+            rounds = round;
+            let Some(attack) = attack else {
+                break if round == 0 {
+                    ConvergenceStatus::NoAttack
+                } else {
+                    ConvergenceStatus::Converged
+                };
+            };
+            attacks += 1;
+            if round == 0 {
+                policy.seed(&mut th, &attack);
+            } else if !policy.refine(&mut th, &attack.residue_norms) {
+                break ConvergenceStatus::Stalled;
+            }
+            round += 1;
+        };
+        Ok(SynthesisReport {
+            partial: th,
+            rounds,
+            attacks_eliminated: attacks,
+            status,
+            solver_stats,
+            round_stats,
+        })
+    })
+}
 
 /// Algorithm 2 — pivot-based threshold synthesis.
 ///
@@ -262,12 +319,6 @@ impl<'a> PivotSynthesizer<'a> {
         &self.synthesizer
     }
 
-    /// Applies the convergence margin when installing a threshold at a
-    /// counterexample residue value.
-    fn shrink(&self, value: f64) -> f64 {
-        (value * (1.0 - self.synthesizer.config().convergence_margin)).max(MIN_THRESHOLD)
-    }
-
     /// Runs the CEGIS loop.
     ///
     /// A [`SynthesisConfig::timeout`] (or any budget installed via
@@ -284,121 +335,25 @@ impl<'a> PivotSynthesizer<'a> {
     /// a non-finite assertion) and [`SynthesisError::Panicked`] for a caught
     /// panic. Resource interruptions are **not** errors.
     pub fn run(&self) -> SynthesisOutcome {
-        let saved = self.synthesizer.budget();
-        self.synthesizer
-            .set_budget(arm_budget(saved, self.synthesizer.config().timeout));
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_inner()));
-        self.synthesizer.set_budget(saved);
-        match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                self.synthesizer.reset_warm_solver();
-                Err(SynthesisError::Panicked(panic_message(payload)))
-            }
-        }
+        run_cegis(&self.synthesizer, self.max_rounds, self)
+    }
+}
+
+impl Refinement for PivotSynthesizer<'_> {
+    /// Lines 4–5: pivot at the instant of maximum residue.
+    fn seed(&self, th: &mut PartialThreshold, attack: &SynthesizedAttack) {
+        let (pivot, value) = attack.pivot();
+        th[pivot] = Some(shrink(&self.synthesizer, value));
     }
 
-    fn run_inner(&self) -> SynthesisOutcome {
-        let horizon = self.synthesizer.horizon();
-        let mut th: PartialThreshold = vec![None; horizon];
-        let mut rounds = 0;
-        let mut attacks = 0;
-        let mut stats = SolverStats::default();
-        let mut round_stats = Vec::new();
-
-        let report = |partial: PartialThreshold,
-                      rounds: usize,
-                      attacks: usize,
-                      status: ConvergenceStatus,
-                      stats: SolverStats,
-                      round_stats: Vec<SolverStats>| {
-            Ok(SynthesisReport {
-                partial,
-                rounds,
-                attacks_eliminated: attacks,
-                converged: status.is_converged(),
-                status,
-                solver_stats: stats,
-                round_stats,
-            })
-        };
-
-        // Line 3: can the existing monitors alone be bypassed?
-        let initial = match cegis_query(&self.synthesizer, None, &mut stats, &mut round_stats)? {
-            QueryOutcome::Decided(result) => result,
-            QueryOutcome::Interrupted(reason) => {
-                let status = ConvergenceStatus::Interrupted { round: 0, reason };
-                return report(th, rounds, attacks, status, stats, round_stats);
-            }
-        };
-        let Some(initial) = initial else {
-            return report(
-                th,
-                rounds,
-                attacks,
-                ConvergenceStatus::NoAttack,
-                stats,
-                round_stats,
-            );
-        };
-        attacks += 1;
-        // Lines 4–5: pivot at the instant of maximum residue.
-        let (pivot, value) = initial.pivot();
-        th[pivot] = Some(self.shrink(value));
-
-        loop {
-            rounds += 1;
-            if rounds > self.max_rounds {
-                return report(
-                    th,
-                    rounds - 1,
-                    attacks,
-                    ConvergenceStatus::RoundLimit,
-                    stats,
-                    round_stats,
-                );
-            }
-            let attack =
-                match cegis_query(&self.synthesizer, Some(&th), &mut stats, &mut round_stats)? {
-                    QueryOutcome::Decided(result) => result,
-                    QueryOutcome::Interrupted(reason) => {
-                        let status = ConvergenceStatus::Interrupted {
-                            round: rounds,
-                            reason,
-                        };
-                        return report(th, rounds - 1, attacks, status, stats, round_stats);
-                    }
-                };
-            let Some(attack) = attack else {
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Converged,
-                    stats,
-                    round_stats,
-                );
-            };
-            attacks += 1;
-            let z = &attack.residue_norms;
-            let progressed =
-                self.case_1a(&mut th, z) || self.case_1b(&mut th, z) || self.case_1c(&mut th, z);
-            if !progressed {
-                // Every residue of the counterexample is numerically zero:
-                // no threshold adjustment can exclude it (see `MIN_THRESHOLD`).
-                // Report the partial result instead of looping forever.
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Stalled,
-                    stats,
-                    round_stats,
-                );
-            }
-        }
+    /// Cases 1a, 1b and 1c in turn. None applies only when every residue of
+    /// the counterexample is numerically zero (see `MIN_THRESHOLD`).
+    fn refine(&self, th: &mut PartialThreshold, z: &[f64]) -> bool {
+        self.case_1a(th, z) || self.case_1b(th, z) || self.case_1c(th, z)
     }
+}
 
+impl PivotSynthesizer<'_> {
     /// Largest existing threshold strictly after instant `i` (for the
     /// monotonicity check when inserting a new threshold at `i`).
     fn max_after(th: &[Option<f64>], i: usize) -> f64 {
@@ -423,8 +378,7 @@ impl<'a> PivotSynthesizer<'a> {
                 .filter(|k| th[*k].is_none() && z[*k] >= th_p && z[*k] > MIN_THRESHOLD)
                 .max_by(|a, b| z[*a].total_cmp(&z[*b]));
             if let Some(i) = candidate {
-                let value = self
-                    .shrink(z[i])
+                let value = shrink(&self.synthesizer, z[i])
                     .min(Self::min_before(th, i))
                     .max(MIN_THRESHOLD);
                 if value >= Self::max_after(th, i) {
@@ -450,8 +404,7 @@ impl<'a> PivotSynthesizer<'a> {
             if let Some(i) = candidate {
                 let later_ok = ((i + 1)..horizon).all(|k| th[k].is_none_or(|v| z[i] >= v));
                 if later_ok {
-                    let value = self
-                        .shrink(z[i])
+                    let value = shrink(&self.synthesizer, z[i])
                         .min(Self::min_before(th, i))
                         .max(MIN_THRESHOLD);
                     th[i] = Some(value);
@@ -474,14 +427,14 @@ impl<'a> PivotSynthesizer<'a> {
         let horizon = th.len();
         let candidate = (0..horizon)
             .filter(|k| z[*k] >= MIN_THRESHOLD)
-            .filter(|k| th[*k].is_none_or(|v| v > self.shrink(z[*k])))
+            .filter(|k| th[*k].is_none_or(|v| v > shrink(&self.synthesizer, z[*k])))
             .min_by(|a, b| {
                 let da = th[*a].unwrap_or(f64::INFINITY) - z[*a];
                 let db = th[*b].unwrap_or(f64::INFINITY) - z[*b];
                 da.total_cmp(&db)
             });
         let Some(i) = candidate else { return false };
-        let value = self.shrink(z[i]).min(Self::min_before(th, i));
+        let value = shrink(&self.synthesizer, z[i]).min(Self::min_before(th, i));
         th[i] = Some(value);
         for k in (i + 1)..horizon {
             if let Some(v) = th[k] {
@@ -514,7 +467,7 @@ mod tests {
         let benchmark = cps_models::trajectory_tracking().unwrap();
         let synthesizer = PivotSynthesizer::new(&benchmark, test_config()).with_max_rounds(400);
         let report = synthesizer.run().expect("synthesis runs");
-        assert!(report.converged, "synthesis should converge");
+        assert!(report.status.is_converged(), "synthesis should converge");
         assert!(report.attacks_eliminated >= 1);
         assert!(report.is_monotone_decreasing());
         assert!(
@@ -541,9 +494,37 @@ mod tests {
     #[test]
     fn round_limit_is_honoured() {
         let benchmark = cps_models::trajectory_tracking().unwrap();
-        let synthesizer = PivotSynthesizer::new(&benchmark, test_config()).with_max_rounds(1);
-        let report = synthesizer.run().expect("synthesis runs");
-        assert!(report.rounds <= 1);
+        // Algorithm 3's staircase covers 3, 7 and all 10 instants at these
+        // limits, so the last one crosses from phase 1 into phase 2.
+        for (n, covered) in [(1, 3), (5, 7), (40, 10)] {
+            let pivot = PivotSynthesizer::new(&benchmark, test_config()).with_max_rounds(n);
+            let stepwise =
+                crate::StepwiseSynthesizer::new(&benchmark, test_config()).with_max_rounds(n);
+            let reports = [pivot.run(), stepwise.run()].map(|r| r.expect("synthesis runs"));
+            for report in &reports {
+                assert_eq!(report.status, ConvergenceStatus::RoundLimit, "limit {n}");
+                assert_eq!(report.rounds, n);
+                // Round 0 plus one query per round, each finding an attack.
+                assert_eq!(report.round_stats.len(), n + 1);
+                assert_eq!(report.attacks_eliminated, n + 1);
+            }
+            let staircase = reports[1].partial.iter().filter(|v| v.is_some());
+            assert_eq!(staircase.count(), covered, "limit {n}");
+        }
+    }
+
+    #[test]
+    fn all_zero_counterexample_stalls_the_pivot_refinement() {
+        let benchmark = cps_models::trajectory_tracking().unwrap();
+        let synthesizer = PivotSynthesizer::new(&benchmark, test_config());
+        let attack_synth = synthesizer.attack_synthesizer();
+        let attack = attack_synth.synthesize(None).unwrap().unwrap();
+        let horizon = attack_synth.horizon();
+        let mut th = vec![None; horizon];
+        synthesizer.seed(&mut th, &attack);
+        let seeded = th.clone();
+        assert!(!synthesizer.refine(&mut th, &vec![0.0; horizon]));
+        assert_eq!(th, seeded);
     }
 
     #[test]
@@ -552,7 +533,6 @@ mod tests {
             partial: vec![None, Some(0.5), Some(0.25)],
             rounds: 3,
             attacks_eliminated: 3,
-            converged: true,
             status: ConvergenceStatus::Converged,
             solver_stats: cps_smt::SolverStats::default(),
             round_stats: Vec::new(),
@@ -566,7 +546,6 @@ mod tests {
             partial: vec![Some(0.1), Some(0.5)],
             rounds: 1,
             attacks_eliminated: 1,
-            converged: true,
             status: ConvergenceStatus::Converged,
             solver_stats: cps_smt::SolverStats::default(),
             round_stats: Vec::new(),

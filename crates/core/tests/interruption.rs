@@ -39,7 +39,7 @@ fn tight_deadline_yields_interrupted_report_with_round_stats() {
         "a 50 microsecond deadline cannot finish a T={LONG_HORIZON} synthesis, got {:?}",
         report.status
     );
-    assert!(!report.converged);
+    assert!(!report.status.is_converged());
     assert!(
         !report.round_stats.is_empty(),
         "the interrupted query still contributes its per-round stats entry"
@@ -75,7 +75,7 @@ fn pre_cancelled_token_interrupts_pivot_synthesis() {
     // Clearing the token makes the same synthesizer usable again.
     synthesizer.attack_synthesizer().cancel_token().reset();
     let report = synthesizer.run().expect("synthesis runs after reset");
-    assert!(report.converged, "got {:?}", report.status);
+    assert!(report.status.is_converged(), "got {:?}", report.status);
 }
 
 #[test]
@@ -113,7 +113,7 @@ fn interrupted_run_retried_with_real_budget_converges_identically() {
         .with_max_rounds(400)
         .run()
         .expect("reference synthesis runs");
-    assert!(reference.converged);
+    assert!(reference.status.is_converged());
 
     // Interrupted run: starved of conflicts, then retried on the SAME
     // synthesizer with the budget lifted. The warm solver re-derives all
@@ -133,7 +133,7 @@ fn interrupted_run_retried_with_real_budget_converges_identically() {
         .attack_synthesizer()
         .set_budget(Budget::unlimited());
     let retried = synthesizer.run().expect("retried synthesis runs");
-    assert!(retried.converged);
+    assert!(retried.status.is_converged());
     assert_eq!(retried.rounds, reference.rounds);
     assert_eq!(
         retried.partial, reference.partial,

@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "pivot-based synthesis: converged={} after {} rounds",
-        report.converged, report.rounds
+        report.status.is_converged(),
+        report.rounds
     );
 
     // 4. The synthesized detector catches the attack from step 2.

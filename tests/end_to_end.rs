@@ -60,7 +60,7 @@ fn end_to_end_pivot_synthesis_and_detection() {
         .with_max_rounds(400)
         .run()
         .expect("synthesis runs");
-    assert!(report.converged);
+    assert!(report.status.is_converged());
     assert!(report.is_monotone_decreasing());
     assert!(attack_synth
         .synthesize(Some(&report.partial))
@@ -223,7 +223,10 @@ fn vacuous_vsc_runs_report_no_attack_instead_of_convergence() {
         .expect("synthesis runs");
     for report in [pivot, stepwise] {
         assert_eq!(report.status, ConvergenceStatus::NoAttack);
-        assert!(!report.converged, "a vacuous run is not a convergence");
+        assert!(
+            !report.status.is_converged(),
+            "a vacuous run is not a convergence"
+        );
         assert_eq!(report.rounds, 0);
         assert_eq!(report.attacks_eliminated, 0);
         assert_eq!(report.round_stats.len(), 1, "only the round-0 query ran");

@@ -235,6 +235,62 @@ struct Bound {
     reason: BoundReason,
 }
 
+/// Reusable set of explanation tags: gathers the asserted tags behind
+/// several bound reasons, keeping each tag once, and yields them sorted.
+///
+/// The reasons of one derived bound overlap heavily (each contributing
+/// `Derived` reason repeats the asserted tags its own row drew on), so a
+/// membership flag per tag keeps only the unique tags, and only those are
+/// stored, sorted and unflagged again. Tags index the flag array: they must
+/// be small dense integers, as the literal indices of the DPLL(T) driver
+/// are.
+#[derive(Debug, Default)]
+struct TagSet {
+    /// `seen[tag]` iff `tag` is in the current set.
+    seen: Vec<bool>,
+    /// The current set's tags, in insertion order until [`TagSet::sorted`].
+    tags: Vec<usize>,
+}
+
+impl TagSet {
+    /// Empties the set.
+    fn clear(&mut self) {
+        for &tag in &self.tags {
+            self.seen[tag] = false;
+        }
+        self.tags.clear();
+    }
+
+    /// Adds the asserted tags behind `reason`.
+    fn insert_reason(&mut self, reason: &BoundReason) {
+        match reason {
+            BoundReason::Asserted(tag) => self.insert(*tag),
+            BoundReason::Derived(tags) => {
+                for &tag in tags.iter() {
+                    self.insert(tag);
+                }
+            }
+        }
+    }
+
+    fn insert(&mut self, tag: usize) {
+        if tag >= self.seen.len() {
+            self.seen.resize(tag + 1, false);
+        }
+        if !self.seen[tag] {
+            self.seen[tag] = true;
+            self.tags.push(tag);
+        }
+    }
+
+    /// The set's tags in increasing order — what `sort_unstable` + `dedup`
+    /// of every inserted tag gives.
+    fn sorted(&mut self) -> &[usize] {
+        self.tags.sort_unstable();
+        &self.tags
+    }
+}
+
 /// A variable bound derived by theory-level bound propagation
 /// ([`Simplex::propagate_bounds`]).
 #[derive(Debug, Clone)]
@@ -407,6 +463,12 @@ pub struct Simplex {
     /// [`optimize`](crate::optimize) entry points) costs one branch per
     /// batch boundary.
     governor: Option<Arc<Governor>>,
+    /// Scratch row of [`Simplex::pivot_and_update`]: each rewritten row is
+    /// built here and swapped with the row it replaces, whose `Vec` becomes
+    /// the next scratch, so pivots stop allocating once capacities settle.
+    row_buf: Vec<(u32, f64)>,
+    /// Scratch set of [`Simplex::install_implied`]'s explanation gathering.
+    explain: TagSet,
 }
 
 impl Simplex {
@@ -431,6 +493,8 @@ impl Simplex {
             dirty: Vec::new(),
             track_implied: false,
             governor: None,
+            row_buf: Vec::new(),
+            explain: TagSet::default(),
         }
     }
 
@@ -443,7 +507,9 @@ impl Simplex {
     /// Enables the propagation worklist (disabled by default — only callers
     /// that actually drain it via [`Simplex::propagate_bounds`] should enable
     /// it, otherwise every tighter bound install appends a worklist entry
-    /// that nothing drains).
+    /// that nothing drains). Explanation tags index a scratch array sized to
+    /// the largest tag seen, so keep them small dense integers (the DPLL(T)
+    /// driver's literal indices are).
     pub fn enable_bound_tracking(&mut self) {
         self.track_implied = true;
     }
@@ -1335,7 +1401,8 @@ impl Simplex {
         }
         // Explanation: the bound of every *other* term that fed the interval
         // sum, flattened to asserted tags.
-        let mut tags: Vec<usize> = Vec::new();
+        let mut tags = std::mem::take(&mut self.explain);
+        tags.clear();
         for i in 0..self.rows[r].entries.len() + 1 {
             let (u, cu) = self.row_term(r, i);
             if u == var {
@@ -1349,14 +1416,10 @@ impl Simplex {
             // Invariant: a derivation for `var` only exists when every other
             // term contributed to the interval sum (the missing-term
             // accounting in `propagate_row`), so its bound is installed.
-            contribution
-                .expect("contributing term is bounded")
-                .reason
-                .push_tags(&mut tags);
+            tags.insert_reason(&contribution.expect("contributing term is bounded").reason);
         }
-        tags.sort_unstable();
-        tags.dedup();
-        let explanation: Rc<[usize]> = tags.into();
+        let explanation: Rc<[usize]> = tags.sorted().into();
+        self.explain = tags;
         let installed = if is_lower {
             self.set_lower(var, value, BoundReason::Derived(explanation.clone()))?
         } else {
@@ -1408,31 +1471,32 @@ impl Simplex {
 
         // Rewrite the pivot row to express `entering` in terms of the others:
         // basic = Σ a_j x_j  ⇒  entering = (basic − Σ_{j≠entering} a_j x_j) / a_entering.
-        let old_entries = std::mem::take(&mut self.rows[row].entries);
-        let mut new_entries: Vec<(u32, f64)> = Vec::with_capacity(old_entries.len());
+        let mut pivot_entries = std::mem::take(&mut self.row_buf);
+        pivot_entries.clear();
         let basic_u32 = basic as u32;
         let mut basic_inserted = false;
-        for (v, value) in old_entries {
+        for &(v, value) in &self.rows[row].entries {
             if v as usize == entering {
                 continue;
             }
             if !basic_inserted && v > basic_u32 {
-                new_entries.push((basic_u32, 1.0 / coeff));
+                pivot_entries.push((basic_u32, 1.0 / coeff));
                 basic_inserted = true;
             }
-            new_entries.push((v, -value / coeff));
+            pivot_entries.push((v, -value / coeff));
         }
         if !basic_inserted {
-            new_entries.push((basic_u32, 1.0 / coeff));
+            pivot_entries.push((basic_u32, 1.0 / coeff));
         }
-        self.rows[row].entries = new_entries;
+        // The old pivot row's `Vec` becomes the merge scratch; the new one
+        // stays out of `rows[row]` while it is merged into the other rows.
+        self.row_buf = std::mem::take(&mut self.rows[row].entries);
         self.row_owner[row] = entering;
         self.basic_row[entering] = Some(row);
         self.basic_row[basic] = None;
         self.cols[basic].push(row as u32);
 
         // Substitute the new definition of `entering` into the other rows.
-        let pivot_entries = self.rows[row].entries.clone();
         for &r in &col {
             let r = r as usize;
             if r == row {
@@ -1442,8 +1506,18 @@ impl Simplex {
             if factor == 0.0 {
                 continue;
             }
-            self.merge_row(r, entering, factor, &pivot_entries);
+            merge_row(
+                &self.rows[r].entries,
+                entering as u32,
+                factor,
+                &pivot_entries,
+                r as u32,
+                &mut self.cols,
+                &mut self.row_buf,
+            );
+            std::mem::swap(&mut self.rows[r].entries, &mut self.row_buf);
         }
+        self.rows[row].entries = pivot_entries;
         // After substitution no row mentions `entering` any more (it is
         // basic: its own row defines it and was rewritten above).
 
@@ -1460,64 +1534,6 @@ impl Simplex {
         }
         #[cfg(debug_assertions)]
         self.audit("after pivot");
-    }
-
-    /// Replaces row `r` by `row_r − (entry for `entering`) + factor · pivot`,
-    /// i.e. eliminates `entering` by substituting its definition. Both entry
-    /// lists are sorted, so this is a linear sorted merge.
-    fn merge_row(&mut self, r: usize, entering: usize, factor: f64, pivot_entries: &[(u32, f64)]) {
-        let current = std::mem::take(&mut self.rows[r].entries);
-        let mut merged: Vec<(u32, f64)> = Vec::with_capacity(current.len() + pivot_entries.len());
-        let mut a = current.iter().peekable();
-        let mut b = pivot_entries.iter().peekable();
-        let entering = entering as u32;
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(va, ca)), Some(&&(vb, cb))) => match va.cmp(&vb) {
-                    Ordering::Less => {
-                        a.next();
-                        if va != entering {
-                            merged.push((va, ca));
-                        }
-                    }
-                    Ordering::Greater => {
-                        b.next();
-                        let c = factor * cb;
-                        if c != 0.0 {
-                            merged.push((vb, c));
-                            self.cols[vb as usize].push(r as u32);
-                        }
-                    }
-                    Ordering::Equal => {
-                        a.next();
-                        b.next();
-                        // The only place cancellation happens: drop residue
-                        // below the noise floor instead of storing a tiny
-                        // garbage coefficient a later pivot could divide by.
-                        let c = ca + factor * cb;
-                        if va != entering && c.abs() > DROP_EPS {
-                            merged.push((va, c));
-                        }
-                    }
-                },
-                (Some(&&(va, ca)), None) => {
-                    a.next();
-                    if va != entering {
-                        merged.push((va, ca));
-                    }
-                }
-                (None, Some(&&(vb, cb))) => {
-                    b.next();
-                    let c = factor * cb;
-                    if c != 0.0 {
-                        merged.push((vb, c));
-                        self.cols[vb as usize].push(r as u32);
-                    }
-                }
-                (None, None) => break,
-            }
-        }
-        self.rows[r].entries = merged;
     }
 
     /// Maximises `objective` starting from the current feasible assignment.
@@ -1741,6 +1757,65 @@ impl Simplex {
         (0..self.num_problem_vars)
             .map(|v| self.assignment[v].concretize(epsilon))
             .collect()
+    }
+}
+
+/// Writes into `out` the entries of row `r` after eliminating `entering`:
+/// `current − (entry for entering) + factor · pivot`, where `pivot` is the
+/// pivot row defining `entering` (so it never mentions `entering`). Both
+/// lists are sorted by variable, and so is `out`. A fill-in — a variable of
+/// `pivot` that `current` lacks — is recorded in its column index `cols`.
+fn merge_row(
+    current: &[(u32, f64)],
+    entering: u32,
+    factor: f64,
+    pivot: &[(u32, f64)],
+    r: u32,
+    cols: &mut [Vec<u32>],
+    out: &mut Vec<(u32, f64)>,
+) {
+    out.clear();
+    out.reserve(current.len() + pivot.len());
+    let (mut i, mut j) = (0, 0);
+    while i < current.len() && j < pivot.len() {
+        let (va, ca) = current[i];
+        let (vb, cb) = pivot[j];
+        if va < vb {
+            i += 1;
+            if va != entering {
+                out.push((va, ca));
+            }
+        } else if va > vb {
+            j += 1;
+            let c = factor * cb;
+            if c != 0.0 {
+                out.push((vb, c));
+                cols[vb as usize].push(r);
+            }
+        } else {
+            debug_assert!(va != entering, "the pivot row mentions `entering`");
+            i += 1;
+            j += 1;
+            // The only place cancellation happens: drop residue below the
+            // noise floor instead of storing a tiny garbage coefficient a
+            // later pivot could divide by.
+            let c = ca + factor * cb;
+            if c.abs() > DROP_EPS {
+                out.push((va, c));
+            }
+        }
+    }
+    for &(va, ca) in &current[i..] {
+        if va != entering {
+            out.push((va, ca));
+        }
+    }
+    for &(vb, cb) in &pivot[j..] {
+        let c = factor * cb;
+        if c != 0.0 {
+            out.push((vb, c));
+            cols[vb as usize].push(r);
+        }
     }
 }
 
@@ -2079,5 +2154,187 @@ mod tests {
         }
         let feasible = vec![(LinExpr::constant(1.0).le(3.0), 0)];
         assert!(Simplex::check(pool.len(), &feasible).is_feasible());
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the kernel tests.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A coefficient in ±[0.5, 2).
+        fn coeff(&mut self) -> f64 {
+            let magnitude = 0.5 + 1.5 * (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            if self.below(2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+    }
+
+    /// The merge by definition: a map from variable to coefficient, with
+    /// the same float expressions and drop rules as [`merge_row`]. Returns
+    /// the merged entries and the fill-in variables.
+    fn reference_merge(
+        current: &[(u32, f64)],
+        entering: u32,
+        factor: f64,
+        pivot: &[(u32, f64)],
+    ) -> (Vec<(u32, f64)>, Vec<u32>) {
+        let mut merged: std::collections::BTreeMap<u32, f64> = current
+            .iter()
+            .copied()
+            .filter(|&(v, _)| v != entering)
+            .collect();
+        let mut fill_in = Vec::new();
+        for &(v, cb) in pivot {
+            match merged.get(&v).copied() {
+                Some(ca) => {
+                    let c = ca + factor * cb;
+                    if c.abs() > DROP_EPS {
+                        merged.insert(v, c);
+                    } else {
+                        merged.remove(&v);
+                    }
+                }
+                None => {
+                    let c = factor * cb;
+                    if c != 0.0 {
+                        merged.insert(v, c);
+                        fill_in.push(v);
+                    }
+                }
+            }
+        }
+        (merged.into_iter().collect(), fill_in)
+    }
+
+    #[test]
+    fn merge_row_matches_a_reference_merge_bit_for_bit() {
+        const VARS: u32 = 40;
+        let mut rng = SplitMix(0x5EED_0015);
+        let (mut cancelled, mut kept_residue, mut fill_ins) = (0, 0, 0);
+        let mut entering_cases = [0usize; 2];
+        let mut out = Vec::new();
+        for case in 0..2000 {
+            let entering = rng.below(VARS as u64) as u32;
+            let factor = rng.coeff();
+            let mut current = Vec::new();
+            let mut pivot = Vec::new();
+            for v in 0..VARS {
+                let in_current = rng.below(3) == 0;
+                let in_pivot = v != entering && rng.below(3) == 0;
+                let cb = rng.coeff();
+                if in_pivot {
+                    pivot.push((v, cb));
+                }
+                if in_current {
+                    let ca = if in_pivot && rng.below(3) == 0 {
+                        // Cancellation: exactly, just under `DROP_EPS`, or
+                        // just over it.
+                        let residue = [0.0, 0.4 * DROP_EPS, 4.0 * DROP_EPS][rng.below(3) as usize];
+                        -(factor * cb) + residue
+                    } else {
+                        rng.coeff()
+                    };
+                    current.push((v, ca));
+                }
+            }
+            // `entering` present (the pivot case) or absent.
+            let has_entering = case % 2 == 0;
+            current.retain(|&(v, _)| v != entering);
+            if has_entering {
+                let at = current.partition_point(|&(v, _)| v < entering);
+                current.insert(at, (entering, rng.coeff()));
+            }
+            entering_cases[has_entering as usize] += 1;
+
+            let mut cols = vec![Vec::new(); VARS as usize];
+            merge_row(&current, entering, factor, &pivot, 7, &mut cols, &mut out);
+            let (expected, fill_in) = reference_merge(&current, entering, factor, &pivot);
+
+            let bits = |row: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                row.iter().map(|&(v, c)| (v, c.to_bits())).collect()
+            };
+            assert_eq!(bits(&out), bits(&expected), "case {case}");
+            assert!(
+                out.windows(2).all(|w| w[0].0 < w[1].0),
+                "case {case}: unsorted"
+            );
+            for v in 0..VARS {
+                let pushed = &cols[v as usize];
+                if fill_in.contains(&v) {
+                    assert_eq!(pushed, &[7], "case {case}: fill-in {v} missing from cols");
+                } else {
+                    assert!(pushed.is_empty(), "case {case}: {v} is no fill-in");
+                }
+            }
+            fill_ins += fill_in.len();
+            for &(v, cb) in &pivot {
+                if let Some(&(_, ca)) = current.iter().find(|&&(u, _)| u == v) {
+                    let c = ca + factor * cb;
+                    if c.abs() <= DROP_EPS {
+                        cancelled += 1;
+                    } else if c.abs() < 1e-9 {
+                        kept_residue += 1;
+                    }
+                }
+            }
+        }
+        // The seeded cases exercise every branch.
+        assert!(cancelled > 100 && kept_residue > 10 && fill_ins > 1000);
+        assert_eq!(entering_cases, [1000, 1000]);
+    }
+
+    #[test]
+    fn tag_set_gathering_matches_sort_and_dedup() {
+        let mut rng = SplitMix(0x7A65_0015);
+        let mut set = TagSet::default();
+        let gather = |set: &mut TagSet, reasons: &[BoundReason]| {
+            let mut expected = Vec::new();
+            for reason in reasons {
+                reason.push_tags(&mut expected);
+            }
+            expected.sort_unstable();
+            expected.dedup();
+            set.clear();
+            for reason in reasons {
+                set.insert_reason(reason);
+            }
+            assert_eq!(set.sorted(), &expected[..]);
+        };
+        let random_reasons = |rng: &mut SplitMix| -> Vec<BoundReason> {
+            (0..1 + rng.below(12))
+                .map(|_| {
+                    if rng.below(4) == 0 {
+                        BoundReason::Asserted(rng.below(200) as usize)
+                    } else {
+                        // Overlapping derived reasons: sorted, deduplicated
+                        // subsets of one small tag range.
+                        let mut tags: Vec<usize> = (0..rng.below(30))
+                            .map(|_| rng.below(200) as usize)
+                            .collect();
+                        tags.sort_unstable();
+                        tags.dedup();
+                        BoundReason::Derived(tags.into())
+                    }
+                })
+                .collect()
+        };
+        for _ in 0..500 {
+            let reasons = random_reasons(&mut rng);
+            gather(&mut set, &reasons);
+        }
     }
 }

@@ -37,8 +37,13 @@ pub struct SolverStats {
     /// Times the incremental tableau was rebuilt from the original
     /// constraints (numerical-hygiene refactorisations).
     pub theory_rebuilds: u64,
-    /// Wall-clock nanoseconds spent inside the theory solver (bound
-    /// synchronisation + simplex).
+    /// Wall-clock nanoseconds spent inside theory checks: bound
+    /// synchronisation with the SAT trail and simplex solving, but also
+    /// theory propagation (deriving implied bounds, re-verifying each
+    /// implication on a fresh mini-tableau), verdict validation (checking a
+    /// full-assignment model against the asserted atoms, re-checking a
+    /// conflict explanation on a fresh mini-tableau) and tableau rebuilds
+    /// with their re-solves.
     pub simplex_nanos: u64,
     /// Bounds derived by theory propagation.
     pub implied_bounds: u64,
@@ -65,7 +70,8 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Wall-clock time spent inside the theory solver.
+    /// Wall-clock time spent inside theory checks
+    /// ([`SolverStats::simplex_nanos`] says what that covers).
     pub fn simplex_time(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.simplex_nanos)
     }
